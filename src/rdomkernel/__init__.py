@@ -26,6 +26,7 @@ from .graphs import (
     SubgraphMap,
     ball,
     bfs_within,
+    bounded_bfs,
     dump_edge_list,
     induced_subgraph,
     is_r_independent,
@@ -48,6 +49,7 @@ from .kernel import (
 from .orderings import Ordering, degeneracy_order, wcol_exact, wcol_of_order, wreach, wreach_all
 from .profiles import (
     DistanceProfile,
+    Profile,
     ProjectionProfile,
     SetFamily,
     decode_projection_via_layers,

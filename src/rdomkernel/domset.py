@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeCapError, bfs_within, multi_source_within
+from .graphs import Graph, SizeCapError, bounded_bfs, greedy_scattered, multi_source_within
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,7 @@ def greedy_scattered_lower_bound(inst: DominationInstance) -> frozenset[int]:
     Any r-ball meets at most one such vertex, so the size is a lower bound
     on every (z, r)-dominator and the set itself is the rejection witness.
     """
-    excluded: set[int] = set()
-    chosen = []
-    for v in sorted(inst.z):
-        if v in excluded:
-            continue
-        chosen.append(v)
-        excluded.update(bfs_within(inst.g, v, 2 * inst.r))
-    return frozenset(chosen)
+    return frozenset(greedy_scattered(inst.g, sorted(inst.z), 2 * inst.r))
 
 
 def _coverage(inst: DominationInstance):
@@ -81,7 +74,7 @@ def _coverage(inst: DominationInstance):
     zbit = {v: 1 << i for i, v in enumerate(zs)}
     cover = [0] * inst.g.n
     for i, zv in enumerate(zs):
-        for x in bfs_within(inst.g, zv, inst.r):
+        for x in bounded_bfs(inst.g, zv, inst.r):
             cover[x] |= 1 << i
     return zs, zbit, cover
 
@@ -129,10 +122,10 @@ def exact_min_dominator(inst: DominationInstance, cap: int = 64) -> DominatorRes
     zs, _, cover = _coverage(inst)
     nz = len(zs)
     full = (1 << nz) - 1
-    candidates = [sorted(bfs_within(inst.g, zv, inst.r)) for zv in zs]
+    candidates = [sorted(bounded_bfs(inst.g, zv, inst.r)) for zv in zs]
     conflict = []
     for zv in zs:
-        near = bfs_within(inst.g, zv, 2 * inst.r)
+        near = bounded_bfs(inst.g, zv, 2 * inst.r)
         conflict.append(sum(1 << j for j, other in enumerate(zs) if other in near))
 
     best = _greedy_cover(inst.g.n, cover, full)
@@ -230,6 +223,6 @@ def bg_approx_dominator(inst: DominationInstance, max_rounds: int = 32) -> Domin
         if covered == full:
             return DominatorResult(frozenset(net), len(net) == len(witness), witness)
         uncovered = next(i for i in range(len(zs)) if not covered & (1 << i))
-        for x in bfs_within(inst.g, zs[uncovered], inst.r):
+        for x in bounded_bfs(inst.g, zs[uncovered], inst.r):
             weights[x] *= 2
     return DominatorResult(frozenset(fallback), len(fallback) == len(witness), witness)

@@ -140,6 +140,33 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
+    """Distances from ``source`` up to radius ``r`` over paths whose interior
+    avoids ``stop``.
+
+    Vertices of ``stop`` get a distance when reached but are never expanded;
+    ``source`` must lie outside ``stop``. Vertices not reached are absent.
+    No argument checks: this is the shared loop behind every single-source
+    radius query, and the public callers validate their own inputs.
+    """
+    adj = g.adj
+    dist = {source: 0}
+    frontier = [source]
+    d = 0
+    while frontier and d < r:
+        d += 1
+        nxt = []
+        for u in frontier:
+            if u in stop:
+                continue
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def bfs_within(g: Graph, source: int, r: int) -> dict[int, int]:
     """Exact distances from ``source`` up to radius ``r``.
 
@@ -149,20 +176,7 @@ def bfs_within(g: Graph, source: int, r: int) -> dict[int, int]:
         raise IndexError(f"source {source} out of range for n={g.n}")
     if r < 0:
         raise ValueError("radius must be non-negative")
-    adj = g.adj
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier and d < r:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+    return bounded_bfs(g, source, r)
 
 
 def multi_source_within(g: Graph, sources, r: int) -> dict[int, int]:
@@ -255,3 +269,20 @@ def is_r_independent(g: Graph, s, r: int) -> bool:
             if u > v and u in near:
                 return False
     return True
+
+
+def greedy_scattered(g: Graph, candidates, r: int, stop=()) -> list[int]:
+    """Greedy maximal subset of ``candidates``, taken in the given order,
+    whose picks are pairwise farther than r over paths with interior
+    outside ``stop``; no candidate may lie in ``stop``.
+
+    Picking v excludes everything :func:`bounded_bfs` reaches from it.
+    """
+    excluded: set[int] = set()
+    chosen = []
+    for v in candidates:
+        if v in excluded:
+            continue
+        chosen.append(v)
+        excluded.update(bounded_bfs(g, v, r, stop))
+    return chosen

@@ -27,7 +27,7 @@ from .domset import (
     is_dominator,
 )
 from .graphs import Graph, SubgraphMap, induced_subgraph
-from .profiles import distance_profile, projection, projection_profile
+from .profiles import distance_profile, projection_profile
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure, short_paths_closure
 
 
@@ -76,9 +76,10 @@ class KernelResult:
     trace: tuple[RemovalStep, ...] = ()
 
 
-def _largest_class(groups: dict) -> list[int]:
-    # Largest class wins; ties go to the class holding the smallest vertex.
-    return max(groups.values(), key=lambda members: (len(members), -min(members)))
+def _largest_class(groups: dict) -> tuple[tuple, list[int]]:
+    # (key, members) of the largest class; ties go to the class holding the
+    # smallest vertex.
+    return max(groups.items(), key=lambda item: (len(item[1]), -min(item[1])))
 
 
 def find_redundant_vertex(state: CoreState, threshold: int | None = None) -> RemovalStep | None:
@@ -107,16 +108,17 @@ def find_redundant_vertex(state: CoreState, threshold: int | None = None) -> Rem
     classes: dict[tuple, list[int]] = {}
     for u in outside:
         classes.setdefault(projection_profile(g, u, x_cl, 3 * r).entries, []).append(u)
-    kappa = _largest_class(classes)
+    kappa_key, kappa = _largest_class(classes)
     qw = quasi_wide_extract(g, kappa, 2 * r, m=len(kappa))
     if not qw.scattered:
         return None
     subclasses: dict[tuple, list[int]] = {}
     for v in sorted(qw.scattered):
         subclasses.setdefault(distance_profile(g, v, qw.separator, r).entries, []).append(v)
-    exchange = _largest_class(subclasses)
+    _, exchange = _largest_class(subclasses)
     zv = min(exchange)
-    buy = projection(g, zv, x_cl, 3 * r) | qw.separator
+    # zv lies in kappa, so its projection onto x_cl is the class key's targets
+    buy = {a for a, _ in kappa_key} | qw.separator
     if len(exchange) < len(buy) + 2:
         return None
     return RemovalStep(

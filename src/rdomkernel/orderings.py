@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeCapError
+from .graphs import Graph, SizeCapError, bounded_bfs
 
 
 @dataclass(frozen=True)
@@ -79,29 +79,17 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
 def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:
     """All weak-r-reachability sets at once.
 
-    For each u, a BFS restricted to vertices ranked above u finds exactly
-    the vertices that weakly r-reach u; one BFS per vertex total.
+    Sweeps the vertices u in rank order. A BFS from u that stops at the
+    vertices already swept (ranked below u) reaches, among the others,
+    exactly the vertices that weakly r-reach u; one BFS per vertex total.
     """
-    pos = order.position
-    result: list[set[int]] = [{v} for v in range(g.n)]
-    adj = g.adj
-    for u in range(g.n):
-        pu = pos[u]
-        dist = {u: 0}
-        frontier = [u]
-        d = 0
-        while frontier and d < r:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for w in adj[x]:
-                    if w in dist or pos[w] <= pu:
-                        continue
-                    dist[w] = d
-                    nxt.append(w)
-            frontier = nxt
-        for x in dist:
-            result[x].add(u)
+    result: list[set[int]] = [set() for _ in range(g.n)]
+    lower: set[int] = set()
+    for u in order.sequence():
+        for x in bounded_bfs(g, u, r, lower):
+            if x not in lower:
+                result[x].add(u)
+        lower.add(u)
     return result
 
 
@@ -148,76 +136,38 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
     if heuristic == 1:
         # one is the floor (every vertex reaches itself), so any order wins
         return 1, Ordering.from_sequence(range(n))
-    adj = g.adj
-    placed = [False] * n
+    placed: set[int] = set()
     counts = [0] * n
-
-    def reach_unplaced(u: int) -> list[int]:
-        dist = {u: 0}
-        frontier = [u]
-        d = 0
-        while frontier and d < r:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for w in adj[x]:
-                    if w in dist or placed[w]:
-                        continue
-                    dist[w] = d
-                    nxt.append(w)
-            frontier = nxt
-        return list(dist)
-
-    best = heuristic
+    seq: list[int] = []
+    witness: list[int] = []
+    # Starting one above the heuristic lets the search itself find an order
+    # of the heuristic's value; orders are tried in lexicographic order and
+    # only strict improvements are kept, so the first order recorded at the
+    # final value is the lexicographically first optimal one.
+    best = heuristic + 1
 
     def search(depth: int, cur_max: int):
-        nonlocal best
+        nonlocal best, witness
         if depth == n:
-            best = cur_max
+            best, witness = cur_max, list(seq)
             return
         for u in range(n):
-            if placed[u]:
+            if u in placed:
                 continue
-            bumped = reach_unplaced(u)
+            bumped = [x for x in bounded_bfs(g, u, r, placed) if x not in placed]
             new_max = cur_max
             for x in bumped:
                 counts[x] += 1
                 if counts[x] > new_max:
                     new_max = counts[x]
             if new_max < best:
-                placed[u] = True
+                placed.add(u)
+                seq.append(u)
                 search(depth + 1, new_max)
-                placed[u] = False
+                seq.pop()
+                placed.discard(u)
             for x in bumped:
                 counts[x] -= 1
 
     search(0, 0)
-    value = best
-
-    seq: list[int] = []
-
-    def witness(depth: int, cur_max: int) -> bool:
-        if depth == n:
-            return True
-        for u in range(n):
-            if placed[u]:
-                continue
-            bumped = reach_unplaced(u)
-            new_max = cur_max
-            for x in bumped:
-                counts[x] += 1
-                if counts[x] > new_max:
-                    new_max = counts[x]
-            if new_max <= value:
-                placed[u] = True
-                seq.append(u)
-                if witness(depth + 1, new_max):
-                    return True
-                seq.pop()
-                placed[u] = False
-            for x in bumped:
-                counts[x] -= 1
-        return False
-
-    witness(0, 0)
-    return value, Ordering.from_sequence(seq)
+    return best, Ordering.from_sequence(witness)

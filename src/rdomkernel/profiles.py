@@ -14,29 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graphs import INF, Graph, SizeCapError, bfs_within
+from .graphs import INF, Graph, SizeCapError, bfs_within, bounded_bfs
 
 
 @dataclass(frozen=True)
-class DistanceProfile:
-    """Canonical map a -> dist(u, a) for targets within the radius."""
-
-    entries: tuple[tuple[int, int], ...]
-    r: int = field(compare=False)
-
-    def value(self, v: int):
-        for a, d in self.entries:
-            if a == v:
-                return d
-        return INF
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Canonical map a -> length of a shortest A-avoiding path, within radius."""
+class Profile:
+    """Canonical map a -> distance for the targets within the radius: plain
+    distance for a distance profile, A-avoiding distance for a projection
+    profile."""
 
     entries: tuple[tuple[int, int], ...]
     r: int = field(compare=False)
@@ -52,6 +37,9 @@ class ProjectionProfile:
 
     def keys(self) -> set[int]:
         return {a for a, _ in self.entries}
+
+
+DistanceProfile = ProjectionProfile = Profile
 
 
 @dataclass(frozen=True)
@@ -75,96 +63,68 @@ class SetFamily:
         return len(self.members)
 
 
-def distance_profile(g: Graph, u: int, a, r: int) -> DistanceProfile:
-    targets = set(a)
-    dist = bfs_within(g, u, r)
-    entries = tuple(sorted((v, dist[v]) for v in targets if v in dist))
-    return DistanceProfile(entries, r)
+def _entries(dist: dict[int, int], targets) -> tuple[tuple[int, int], ...]:
+    # Canonical profile key: the reached targets with their distances, by id.
+    return tuple(sorted([(v, dist[v]) for v in dist if v in targets]))
 
 
-def _avoiding_distances(g: Graph, u: int, a: set, r: int) -> dict[int, int]:
-    # BFS that records vertices of `a` when reached but never expands them,
-    # which is exactly the shortest-A-avoiding-path metric.
-    if u in a:
+def _avoiding_targets(u: int, a) -> frozenset[int]:
+    # frozenset() of a frozenset is the same object, so callers that hold
+    # their target set frozen pay no copy per call.
+    targets = frozenset(a)
+    if u in targets:
         raise ValueError(f"projection source {u} must lie outside the target set")
-    adj = g.adj
-    dist = {u: 0}
-    frontier = [u]
-    reached: dict[int, int] = {}
-    d = 0
-    while frontier and d < r:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for w in adj[x]:
-                if w in dist:
-                    continue
-                dist[w] = d
-                if w in a:
-                    reached[w] = d
-                else:
-                    nxt.append(w)
-        frontier = nxt
-    return reached
+    return targets
 
 
-def projection(g: Graph, u: int, a, r: int) -> set[int]:
+def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
+    return Profile(_entries(bfs_within(g, u, r), frozenset(a)), r)
+
+
+def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
     """Vertices of a reachable from u by an A-avoiding path of length <= r."""
-    return set(_avoiding_distances(g, u, set(a), r))
+    targets = _avoiding_targets(u, a)
+    return targets.intersection(bounded_bfs(g, u, r, targets))
 
 
-def projection_profile(g: Graph, u: int, a, r: int) -> ProjectionProfile:
-    reached = _avoiding_distances(g, u, set(a), r)
-    return ProjectionProfile(tuple(sorted(reached.items())), r)
+def projection_profile(g: Graph, u: int, a, r: int) -> Profile:
+    targets = _avoiding_targets(u, a)
+    return Profile(_entries(bounded_bfs(g, u, r, targets), targets), r)
 
 
-def _check_cap(count: int, cap: int | None):
-    if cap is not None and count > cap:
-        raise SizeCapError(f"distinct-profile count exceeded cap {cap}")
+def _count_distinct(keys, cap: int | None) -> int:
+    distinct = set()
+    for key in keys:
+        distinct.add(key)
+        if cap is not None and len(distinct) > cap:
+            raise SizeCapError(f"distinct-profile count exceeded cap {cap}")
+    return len(distinct)
 
 
 def nu_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct sets ball(v, r) & A over all vertices v."""
     targets = frozenset(a)
-    distinct: set[frozenset[int]] = set()
-    for v in range(g.n):
-        distinct.add(targets.intersection(bfs_within(g, v, r)))
-        _check_cap(len(distinct), cap)
-    return len(distinct)
+    return _count_distinct((targets.intersection(bounded_bfs(g, v, r)) for v in range(g.n)), cap)
 
 
 def nu_hat_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct radius-r distance profiles on A over all vertices."""
-    targets = set(a)
-    distinct: set[tuple] = set()
-    for v in range(g.n):
-        distinct.add(distance_profile(g, v, targets, r).entries)
-        _check_cap(len(distinct), cap)
-    return len(distinct)
+    targets = frozenset(a)
+    return _count_distinct((_entries(bounded_bfs(g, v, r), targets) for v in range(g.n)), cap)
 
 
 def mu_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct radius-r projections on A, over vertices outside A."""
-    targets = set(a)
-    distinct: set[frozenset[int]] = set()
-    for v in range(g.n):
-        if v in targets:
-            continue
-        distinct.add(frozenset(_avoiding_distances(g, v, targets, r)))
-        _check_cap(len(distinct), cap)
-    return len(distinct)
+    targets = frozenset(a)
+    outside = (v for v in range(g.n) if v not in targets)
+    return _count_distinct((targets.intersection(bounded_bfs(g, v, r, targets)) for v in outside), cap)
 
 
 def mu_hat_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct radius-r projection profiles on A, outside A."""
-    targets = set(a)
-    distinct: set[tuple] = set()
-    for v in range(g.n):
-        if v in targets:
-            continue
-        distinct.add(tuple(sorted(_avoiding_distances(g, v, targets, r).items())))
-        _check_cap(len(distinct), cap)
-    return len(distinct)
+    targets = frozenset(a)
+    outside = (v for v in range(g.n) if v not in targets)
+    return _count_distinct((_entries(bounded_bfs(g, v, r, targets), targets) for v in outside), cap)
 
 
 def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
@@ -188,12 +148,10 @@ def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
     return Graph((r + 1) * n, edges), b
 
 
-def decode_projection_via_layers(g: Graph, a, r: int, u: int) -> ProjectionProfile:
+def decode_projection_via_layers(g: Graph, a, r: int, u: int) -> Profile:
     """Projection profile of u recovered from distance profiles in the
     layered expansion; exists as a cross-check of that encoding."""
-    targets = set(a)
-    if u in targets:
-        raise ValueError(f"projection source {u} must lie outside the target set")
+    targets = _avoiding_targets(u, a)
     h, _ = layered_graph(g, targets, r)
     dist = bfs_within(h, u, r)  # (u, 0) has id u
     n = g.n
@@ -203,7 +161,7 @@ def decode_projection_via_layers(g: Graph, a, r: int, u: int) -> ProjectionProfi
             if dist.get(i * n + v) == i:
                 entries.append((v, i))
                 break
-    return ProjectionProfile(tuple(entries), r)
+    return Profile(tuple(entries), r)
 
 
 def _is_shattered(x: frozenset[int], members) -> bool:

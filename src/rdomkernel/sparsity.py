@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, bfs_within
+from .graphs import Graph, _walk_back, bfs_within, bounded_bfs, greedy_scattered
 from .profiles import projection
 
 
@@ -36,45 +36,13 @@ class ClosureResult:
     added: tuple[int, ...]
 
 
-def _bfs_avoiding(g: Graph, source: int, r: int, blocked: set) -> dict[int, int]:
-    # Plain bounded BFS in g minus the blocked set.
-    adj = g.adj
-    dist = {source: 0}
-    frontier = [source]
-    d = 0
-    while frontier and d < r:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w in dist or w in blocked:
-                    continue
-                dist[w] = d
-                nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def _greedy_scattered(g: Graph, candidates: list[int], r: int, blocked: set) -> list[int]:
-    # Ascending-id greedy: picking v excludes its whole r-ball in g - blocked,
-    # so picks end up pairwise farther than r there.
-    excluded: set[int] = set()
-    chosen = []
-    for v in candidates:
-        if v in excluded:
-            continue
-        chosen.append(v)
-        excluded.update(_bfs_avoiding(g, v, r, blocked))
-    return chosen
-
-
 def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) -> QwResult:
     """Find a separator S (at most s_max vertices) and a subset B of A - S,
     of size at least m, that is r-independent in g - S.
 
     Greedy loop: build a maximal scattered subset of A - S; while it is too
     small, move the vertex covering most of A - S within radius ceil(r/2)
-    of g - S into the separator and retry. On a exhausted separator budget
+    of g - S into the separator and retry. On an exhausted separator budget
     the result carries the best (S, B) seen and ok=False.
     """
     targets = set(a)
@@ -93,7 +61,7 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
     while True:
         rounds += 1
         live = sorted(targets - separator)
-        b = _greedy_scattered(g, live, r, separator)
+        b = greedy_scattered(g, live, r, separator)
         if len(b) > len(best_b):
             best_b, best_s = b, set(separator)
         if len(b) >= m:
@@ -102,7 +70,7 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
             return QwResult(frozenset(best_s), frozenset(best_b), rounds, False)
         score = [0] * g.n
         for v in live:
-            for x in _bfs_avoiding(g, v, half, separator):
+            for x in bounded_bfs(g, v, half, separator):
                 score[x] += 1
         hub = -1
         hub_score = 0
@@ -132,7 +100,7 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     """
     if t < 2:
         raise ValueError("closure threshold must be at least 2")
-    y = set(x)
+    y = frozenset(x)
     for v in y:
         if not 0 <= v < g.n:
             raise IndexError(f"vertex {v} out of range for n={g.n}")
@@ -148,9 +116,9 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
                 pick, pick_size = u, size
         if pick < 0:
             break
-        y.add(pick)
+        y |= {pick}
         added.append(pick)
-    return ClosureResult(frozenset(y), t, tuple(added))
+    return ClosureResult(y, t, tuple(added))
 
 
 def short_paths_closure(g: Graph, x, r: int) -> set[int]:
@@ -169,11 +137,6 @@ def short_paths_closure(g: Graph, x, r: int) -> set[int]:
     for i, u in enumerate(xs):
         dist = bfs_within(g, u, r)
         for v in xs[i + 1 :]:
-            if v not in dist:
-                continue
-            w = v
-            while w != u:
-                closed.add(w)
-                dw = dist[w]
-                w = min(p for p in g.adj[w] if dist.get(p) == dw - 1)
+            if v in dist:
+                closed.update(_walk_back(g, dist, u, v))
     return closed

@@ -10,6 +10,7 @@ from rdomkernel.graphs import (
     ParseError,
     ball,
     bfs_within,
+    bounded_bfs,
     dump_edge_list,
     induced_subgraph,
     is_r_independent,
@@ -17,7 +18,7 @@ from rdomkernel.graphs import (
     shortest_path,
 )
 
-from .oracles import floyd_warshall, random_graph
+from .oracles import floyd_warshall, random_graph, simple_paths_from
 
 
 def path(n):
@@ -103,6 +104,25 @@ class TestBfsWithin:
             r = rng.randint(0, 4)
             expected = {u: int(dist[v][u]) for u in range(g.n) if dist[v][u] <= r}
             assert bfs_within(g, v, r) == expected
+
+
+class TestBoundedBfs:
+    def test_stop_vertex_reached_but_not_expanded(self):
+        assert bounded_bfs(path(5), 0, 4, {2}) == {0: 0, 1: 1, 2: 2}
+
+    def test_matches_stop_avoiding_simple_paths(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 9), rng.random())
+            u = rng.randrange(g.n)
+            stop = {v for v in range(g.n) if v != u and rng.random() < 0.3}
+            r = rng.randint(0, 4)
+            expected: dict[int, int] = {}
+            for p in simple_paths_from(g, u, r):
+                if any(x in stop for x in p[1:-1]):
+                    continue
+                expected[p[-1]] = min(expected.get(p[-1], r), len(p) - 1)
+            assert bounded_bfs(g, u, r, stop) == expected
 
 
 class TestBall:

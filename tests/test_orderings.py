@@ -133,6 +133,7 @@ class TestWcolExact:
             g = random_graph(rng, rng.randint(1, 5), rng.random())
             r = rng.randint(1, 2)
             assert wcol_exact(g, r)[0] == brute_wcol_exact(g, r)[0]
+            assert wcol_exact(g, r)[1].sequence() == brute_wcol_exact(g, r)[1]
 
 
 class TestDegeneracyOrder:
