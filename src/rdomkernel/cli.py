@@ -21,7 +21,7 @@ from .domset import (
 )
 from .generators import FAMILIES, GenSpec, generate
 from .graphs import Graph, ParseError, SizeCapError, bfs_within, dump_edge_list, load_edge_list
-from .kernel import annotate_to_plain, kernelize
+from .kernel import VERIFY_CAP, annotate_to_plain, kernelize
 from .orderings import degeneracy_order, wcol_exact, wcol_of_order
 from .profiles import SetFamily, mu_hat_r, mu_r, nu_hat_r, nu_r, vc_dimension
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure
@@ -174,6 +174,8 @@ def _cmd_kernelize(args) -> int:
             f"{step.class_count},{len(step.separator)},{len(step.exchange_class)},{step.removed}"
         )
     _write_text(args.stats, "\n".join(stats_lines) + "\n")
+    if result.stats["verify"] == "skipped":
+        print(f"verify: oracle skipped (n={g.n} > cap {VERIFY_CAP})", file=sys.stderr)
     if result.verdict != "kernel":
         print(f"verdict={result.verdict} witness={len(result.witness)}")
         return 0

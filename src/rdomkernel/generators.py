@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph, SizeCapError
 
 FAMILIES = (
     "grid",
@@ -107,6 +107,9 @@ def subset_gadget_graph(a: int) -> Graph:
     anchor traces as closed neighborhoods."""
     if a < 0:
         raise ValueError("anchor count must be non-negative")
+    # a is compared first so that a huge a never builds the integer 2**a
+    if a >= MAX_VERTICES.bit_length() or a + (1 << a) > MAX_VERTICES:
+        raise SizeCapError(f"subset gadget with {a} anchors exceeds the cap of {MAX_VERTICES} vertices")
     edges = []
     for s in range(1 << a):
         fresh = a + s

@@ -12,6 +12,11 @@ from dataclasses import dataclass
 
 INF = float("inf")
 
+# Largest vertex count a graph may be built with from outside input; far
+# above the n of about 10**5 the library targets, and checked before any
+# per-vertex allocation so an oversized header fails fast.
+MAX_VERTICES = 1 << 24
+
 
 class ParseError(ValueError):
     """Malformed text input; carries the offending 1-based line number."""
@@ -22,7 +27,8 @@ class ParseError(ValueError):
 
 
 class SizeCapError(RuntimeError):
-    """An exact routine was asked to exceed its configured instance-size cap."""
+    """An exact routine was asked to exceed its configured instance-size cap,
+    or an input declared more than :data:`MAX_VERTICES` vertices."""
 
 
 class Graph:
@@ -85,7 +91,8 @@ def load_edge_list(source) -> Graph:
 
     Without a header n is one past the largest id seen. Duplicate edges
     collapse; self-loops and malformed lines raise :class:`ParseError`
-    with the line number.
+    with the line number, and an n above :data:`MAX_VERTICES` raises
+    :class:`SizeCapError` before the graph is allocated.
     """
     if isinstance(source, bytes):
         lines = source.decode("utf-8").splitlines()
@@ -130,6 +137,8 @@ def load_edge_list(source) -> Graph:
     n = declared if declared is not None else max_id + 1
     if max_id >= n:
         raise ParseError(f"vertex id {max_id} outside declared range p {n}")
+    if n > MAX_VERTICES:
+        raise SizeCapError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
     return Graph(n, edges)
 
 
@@ -262,12 +271,10 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
 
 def is_r_independent(g: Graph, s, r: int) -> bool:
     """True iff all distinct pairs of s lie at distance greater than r."""
-    members = sorted(set(s))
-    for v in members:
-        near = bfs_within(g, v, r)
-        for u in members:
-            if u > v and u in near:
-                return False
+    members = set(s)
+    for v in sorted(members):
+        if any(u > v and u in members for u in bfs_within(g, v, r)):
+            return False
     return True
 
 

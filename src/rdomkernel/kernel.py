@@ -31,6 +31,10 @@ from .profiles import distance_profile, projection_profile
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure, short_paths_closure
 
 
+# Largest instance the enumeration oracle re-checks in verified mode.
+VERIFY_CAP = 20
+
+
 class CoreVerificationError(AssertionError):
     """A verified-mode removal broke the domination-core property."""
 
@@ -63,6 +67,7 @@ class CoreState:
     z: set[int]
     trace: list[RemovalStep] = field(default_factory=list)
     rejection: Rejection | None = None
+    verify: str = "off"  # "off", "oracle", or "skipped" (n above the cap)
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def find_core(
     target: int | None = None,
     threshold: int | None = None,
     verify: bool = False,
-    verify_cap: int = 20,
+    verify_cap: int = VERIFY_CAP,
 ) -> CoreState:
     """Shrink the dominatee set from V down toward ``target`` while it
     provably stays a domination core.
@@ -162,13 +167,16 @@ def find_core(
     (state.rejection is set). Otherwise one removal is attempted; the loop
     stops when none is found or the target size is reached. With ``verify``
     every removal is re-checked against the enumeration oracle (instances
-    up to verify_cap vertices only).
+    up to verify_cap vertices only); state.verify records whether the
+    oracle ran or was skipped.
     """
     g, r, k = inst.g, inst.r, inst.k
     if target is None:
         target = default_core_target(k)
     z: set[int] = set(range(g.n))
     state = CoreState(inst, z)
+    if verify:
+        state.verify = "oracle" if g.n <= verify_cap else "skipped"
     while True:
         witness = greedy_scattered_lower_bound(replace(inst, z=frozenset(z)))
         if len(witness) > k:
@@ -181,7 +189,7 @@ def find_core(
             return state
         z.discard(step.removed)
         state.trace.append(step)
-        if verify and g.n <= verify_cap:
+        if state.verify == "oracle":
             _verify_core_after_removal(g, frozenset(z), r, verify_cap)
 
 
@@ -228,10 +236,12 @@ def kernelize(
     target: int | None = None,
     threshold: int | None = None,
     verify: bool = False,
-    verify_cap: int = 20,
+    verify_cap: int = VERIFY_CAP,
 ) -> KernelResult:
     """End-to-end: find a core, then build the kernel from it. Rejections
-    propagate with their witness; stats record every stage size."""
+    propagate with their witness; stats record every stage size and, as
+    ``stats["verify"]``, whether verification was off, ran the oracle, or
+    was skipped because the instance exceeds ``verify_cap``."""
     state = find_core(inst, target=target, threshold=threshold, verify=verify, verify_cap=verify_cap)
     if state.rejection is not None:
         stats = {
@@ -240,6 +250,7 @@ def kernelize(
             "core": len(state.z),
             "removed": len(state.trace),
             "witness": len(state.rejection.witness),
+            "verify": state.verify,
         }
         return KernelResult(
             verdict=f"rejected({inst.k})",
@@ -253,6 +264,7 @@ def kernelize(
     result = build_kernel_from_core(inst.g, state.z, inst.r)
     stats = dict(result.stats)
     stats["removed"] = len(state.trace)
+    stats["verify"] = state.verify
     return KernelResult(
         verdict="kernel",
         graph=result.graph,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, _walk_back, bfs_within, bounded_bfs, greedy_scattered
+from .graphs import Graph, _walk_back, bounded_bfs, greedy_scattered
 from .profiles import projection
 
 
@@ -125,18 +125,27 @@ def short_paths_closure(g: Graph, x, r: int) -> set[int]:
     """Superset of X inside which all pairwise X-distances up to r survive
     induction exactly.
 
-    For every pair of X at distance at most r (pairs in ascending id
-    order), the deterministic shortest path between them is added; induced
-    distances can only shrink to the true value, never below it.
+    The result is the union, over all pairs of X at distance at most r, of
+    their deterministic shortest path (each step back takes the lowest-id
+    neighbor one level closer); induced distances can only shrink to the
+    true value, never below it. Each member's r-ball is searched once and
+    only its members of X are paired, so the cost is O(sum of |N_r[u]|
+    over u in X) plus the walk-backs.
     """
-    xs = sorted(set(x))
-    if xs and not (0 <= xs[0] and xs[-1] < g.n):
-        bad = xs[0] if xs[0] < 0 else xs[-1]
-        raise IndexError(f"vertex {bad} out of range for n={g.n}")
-    closed = set(xs)
-    for i, u in enumerate(xs):
-        dist = bfs_within(g, u, r)
-        for v in xs[i + 1 :]:
-            if v in dist:
+    members = set(x)
+    if members:
+        lo, hi = min(members), max(members)
+        if not (0 <= lo and hi < g.n):
+            raise IndexError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
+        if r < 0:
+            raise ValueError("radius must be non-negative")
+    closed = set(members)
+    for u in members:
+        dist = bounded_bfs(g, u, r)
+        # every walk-back from u stays inside u's ball
+        if closed.issuperset(dist):
+            continue
+        for v in dist:
+            if v > u and v in members:
                 closed.update(_walk_back(g, dist, u, v))
     return closed

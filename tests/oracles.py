@@ -86,6 +86,26 @@ def brute_projection_profile(g: Graph, u: int, a, r: int) -> dict[int, int]:
     return best
 
 
+def brute_short_paths_closure(g: Graph, x, r: int) -> set[int]:
+    """The all-pairs definition of the short-paths closure: for every pair
+    u < v of X at distance at most r, add the shortest path whose every
+    step back from v takes the lowest-id neighbor one level closer to u."""
+    dist = floyd_warshall(g)
+    xs = sorted(set(x))
+    closed = set(xs)
+    for i, u in enumerate(xs):
+        du = dist[u]
+        for v in xs[i + 1 :]:
+            if du[v] > r:
+                continue
+            w = v
+            closed.add(w)
+            while w != u:
+                w = min(y for y in g.adj[w] if du[y] == du[w] - 1)
+                closed.add(w)
+    return closed
+
+
 def brute_dominates(g: Graph, d, z, r: int, dist=None) -> bool:
     if dist is None:
         dist = floyd_warshall(g)

@@ -181,3 +181,32 @@ class TestCli:
         big.write_text("\n".join(f"{i} {i + 1}" for i in range(70)) + "\n")
         assert main(["solve", "--graph", str(big), "--r", "1", "--method", "exact"]) == 3
         assert main(["wcol", "--graph", str(big), "--r", "1", "--exact"]) == 3
+
+    def test_vertex_cap_stops_oversized_input(self, tmp_path, capsys):
+        # each of these would allocate billions of vertices without the cap
+        header = tmp_path / "header.edges"
+        header.write_text("p 3000000000\n0 1\n")
+        far = tmp_path / "far.edges"
+        far.write_text("0 3000000000\n")
+        for graph_file in (header, far):
+            assert main(["solve", "--graph", str(graph_file), "--r", "1"]) == 3
+            assert "cap exceeded" in capsys.readouterr().err
+        assert main(["gen", "subset_gadget", "--a", "40"]) == 3
+        assert "cap exceeded" in capsys.readouterr().err
+
+    def test_verify_reports_skipped_oracle(self, tmp_path, capsys):
+        outputs = ["--out", str(tmp_path / "k.edges"), "--zout", str(tmp_path / "k.z"),
+                   "--stats", str(tmp_path / "k.csv")]
+        small = tmp_path / "small.edges"
+        small.write_text("\n".join(f"0 {i}" for i in range(1, 16)) + "\n")
+        assert main(["--verify", "kernelize", "--graph", str(small), "--r", "1", "--k", "1",
+                     "--target", "3", *outputs]) == 0
+        assert "verify:" not in capsys.readouterr().err
+        large = tmp_path / "large.edges"
+        large.write_text("\n".join(f"0 {i}" for i in range(1, 31)) + "\n")
+        assert main(["--verify", "kernelize", "--graph", str(large), "--r", "1", "--k", "1",
+                     "--target", "3", *outputs]) == 0
+        assert capsys.readouterr().err == "verify: oracle skipped (n=31 > cap 20)\n"
+        assert main(["kernelize", "--graph", str(large), "--r", "1", "--k", "1",
+                     "--target", "3", *outputs]) == 0
+        assert capsys.readouterr().err == ""

@@ -194,6 +194,15 @@ class TestKernelize:
         assert result.graph is None
         assert len(result.witness) > 2
 
+    def test_verify_mode_recorded(self):
+        small, large = star_graph(15), star_graph(30)
+        assert kernelize(full_instance(small, 1, 1), target=3).stats["verify"] == "off"
+        assert kernelize(full_instance(small, 1, 1), target=3, verify=True).stats["verify"] == "oracle"
+        assert kernelize(full_instance(large, 1, 1), target=3, verify=True).stats["verify"] == "skipped"
+        rejected = kernelize(full_instance(path_graph(30), 1, 2), verify=True)
+        assert rejected.verdict == "rejected(2)"
+        assert rejected.stats["verify"] == "skipped"
+
     def test_end_to_end_equivalence_sampled(self):
         rng = random.Random(51)
         for _ in range(30):

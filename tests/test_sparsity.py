@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from rdomkernel.generators import star_graph
+import rdomkernel.sparsity
+from rdomkernel.generators import grid_graph, star_graph
 from rdomkernel.graphs import Graph, bfs_within, induced_subgraph, is_r_independent
 from rdomkernel.profiles import projection
 from rdomkernel.sparsity import (
@@ -12,7 +13,7 @@ from rdomkernel.sparsity import (
     short_paths_closure,
 )
 
-from .oracles import floyd_warshall, random_sparse_graph
+from .oracles import brute_short_paths_closure, floyd_warshall, random_sparse_graph
 
 
 def path(n):
@@ -165,3 +166,32 @@ class TestShortPathsClosure:
                         pairs += 1
                         assert sub_dist[idmap.to_sub[u]][idmap.to_sub[v]] == dist[u][v]
             assert len(closed) <= len(x) + max(0, r - 1) * pairs
+
+    def test_matches_all_pairs_definition(self):
+        # Relabelled grids have many tied shortest paths, so a closure that
+        # walked back from the wrong end of a pair would differ here.
+        rng = random.Random(35)
+        for i in range(300):
+            if i % 2:
+                h = random_sparse_graph(rng, rng.randint(1, 20))
+            else:
+                h = grid_graph(rng.randint(1, 6), rng.randint(1, 6))
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            g = Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges()])
+            r = rng.randint(1, 4)
+            for x in ({v for v in range(g.n) if rng.random() < 0.3}, set(range(g.n))):
+                assert short_paths_closure(g, x, r) == brute_short_paths_closure(g, x, r)
+
+    def test_closed_balls_skip_walk_backs(self, monkeypatch):
+        calls = []
+        walk_back = rdomkernel.sparsity._walk_back
+
+        def counting(*args):
+            calls.append(args)
+            return walk_back(*args)
+
+        monkeypatch.setattr(rdomkernel.sparsity, "_walk_back", counting)
+        g = grid_graph(30, 30)
+        assert short_paths_closure(g, range(g.n), 2) == set(range(g.n))
+        assert calls == []
