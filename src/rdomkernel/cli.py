@@ -14,7 +14,6 @@ import sys
 from . import bench as bench_mod
 from .domset import (
     DominationInstance,
-    bg_approx_dominator,
     exact_min_dominator,
     greedy_dominator,
     is_dominator,
@@ -152,10 +151,8 @@ def _cmd_solve(args) -> int:
     inst = DominationInstance(g, frozenset(z), args.r, args.k)
     if args.method == "exact":
         result = exact_min_dominator(inst, cap=args.cap)
-    elif args.method == "greedy":
-        result = greedy_dominator(inst)
     else:
-        result = bg_approx_dominator(inst)
+        result = greedy_dominator(inst)
     valid = is_dominator(inst, result.dominator)
     print(f"size={len(result.dominator)} valid={str(valid).lower()} optimal={str(result.optimal).lower()}")
     return 0
@@ -264,7 +261,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--z", default="all", help="vertex file or 'all'")
-    p.add_argument("--method", choices=("exact", "greedy", "bg"), default="bg")
+    p.add_argument("--method", choices=("exact", "greedy", "bg"), default="bg",
+                   help="exact branch and bound or greedy cover; bg is a synonym of greedy")
     p.add_argument("--cap", type=int, default=64)
     p.set_defaults(func=_cmd_solve)
 

@@ -4,8 +4,8 @@ A set D r-dominates Z when every vertex of Z lies within distance r of
 some vertex of D. The exact solver and the all-optima enumerator are the
 trusted oracles the pipeline is verified against; both carry hard size
 caps and refuse larger instances rather than approximate silently. The
-approximation is a deterministic iterative-reweighting hitting-set scheme
-with a plain greedy-cover fallback, so it never returns an invalid set.
+approximation is the deterministic greedy cover (lowest id on ties), valid
+by construction; ``bg_approx_dominator`` is kept as an alias of it.
 """
 
 from __future__ import annotations
@@ -71,12 +71,11 @@ def greedy_scattered_lower_bound(inst: DominationInstance) -> frozenset[int]:
 def _coverage(inst: DominationInstance):
     # cover[v] = bitmask of z-indices within distance r of v; zs ascending.
     zs = sorted(inst.z)
-    zbit = {v: 1 << i for i, v in enumerate(zs)}
     cover = [0] * inst.g.n
     for i, zv in enumerate(zs):
         for x in bounded_bfs(inst.g, zv, inst.r):
             cover[x] |= 1 << i
-    return zs, zbit, cover
+    return zs, cover
 
 
 def _greedy_cover(n: int, cover, full: int) -> list[int]:
@@ -96,14 +95,21 @@ def _greedy_cover(n: int, cover, full: int) -> list[int]:
 
 
 def greedy_dominator(inst: DominationInstance) -> DominatorResult:
-    """Plain greedy cover; valid by construction, within the harmonic
-    factor of optimal."""
+    """Greedy cover: repeatedly take the vertex whose r-ball covers the most
+    uncovered dominatees, lowest id on ties. Valid by construction, within
+    the harmonic factor of optimal; ``optimal`` is set when the size meets
+    the scattered lower bound. ``bg_approx_dominator`` is an alias."""
     witness = greedy_scattered_lower_bound(inst)
     if not inst.z:
         return DominatorResult(frozenset(), True, witness)
-    zs, _, cover = _coverage(inst)
+    zs, cover = _coverage(inst)
     chosen = _greedy_cover(inst.g.n, cover, (1 << len(zs)) - 1)
     return DominatorResult(frozenset(chosen), len(chosen) == len(witness), witness)
+
+
+# The name under which the kernel and the package export use the approximate
+# dominator.
+bg_approx_dominator = greedy_dominator
 
 
 def exact_min_dominator(inst: DominationInstance, cap: int = 64) -> DominatorResult:
@@ -119,7 +125,7 @@ def exact_min_dominator(inst: DominationInstance, cap: int = 64) -> DominatorRes
     witness = greedy_scattered_lower_bound(inst)
     if not inst.z:
         return DominatorResult(frozenset(), True, witness)
-    zs, _, cover = _coverage(inst)
+    zs, cover = _coverage(inst)
     nz = len(zs)
     full = (1 << nz) - 1
     candidates = [sorted(bounded_bfs(inst.g, zv, inst.r)) for zv in zs]
@@ -174,7 +180,7 @@ def enumerate_min_dominators(inst: DominationInstance, cap: int = 20) -> list[fr
     if inst.g.n > cap:
         raise SizeCapError(f"enumeration limited to n <= {cap}, got n={inst.g.n}")
     opt = len(exact_min_dominator(inst, cap=cap).dominator)
-    zs, _, cover = _coverage(inst)
+    zs, cover = _coverage(inst)
     full = (1 << len(zs)) - 1
     out = []
     for combo in itertools.combinations(range(inst.g.n), opt):
@@ -184,45 +190,3 @@ def enumerate_min_dominators(inst: DominationInstance, cap: int = 20) -> list[fr
         if mask & full == full:
             out.append(frozenset(combo))
     return out
-
-
-def bg_approx_dominator(inst: DominationInstance, max_rounds: int = 32) -> DominatorResult:
-    """Deterministic iterative-reweighting dominator.
-
-    Vertex weights start at 1. Each round builds a candidate net by
-    weighted greedy cover (score = weight times fresh coverage, lowest id
-    on ties) capped at the plain greedy-cover size; if the net fails to
-    dominate, the weights inside the ball of the lowest-id uncovered
-    dominatee double and the next round runs. The first valid net is
-    returned; after max_rounds the plain greedy cover is, so the result
-    always dominates z.
-    """
-    witness = greedy_scattered_lower_bound(inst)
-    if not inst.z:
-        return DominatorResult(frozenset(), True, witness)
-    zs, _, cover = _coverage(inst)
-    n = inst.g.n
-    full = (1 << len(zs)) - 1
-    fallback = _greedy_cover(n, cover, full)
-    budget = len(fallback)
-    weights = [1] * n
-    for _ in range(max_rounds):
-        net = []
-        covered = 0
-        while covered != full and len(net) < budget:
-            pick = -1
-            score = 0
-            for v in range(n):
-                s = weights[v] * (cover[v] & ~covered).bit_count()
-                if s > score:
-                    pick, score = v, s
-            if pick < 0:
-                break
-            net.append(pick)
-            covered |= cover[pick]
-        if covered == full:
-            return DominatorResult(frozenset(net), len(net) == len(witness), witness)
-        uncovered = next(i for i in range(len(zs)) if not covered & (1 << i))
-        for x in bounded_bfs(inst.g, zs[uncovered], inst.r):
-            weights[x] *= 2
-    return DominatorResult(frozenset(fallback), len(fallback) == len(witness), witness)

@@ -148,10 +148,36 @@ def random_tree_graph(n: int, seed: int) -> Graph:
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
 
 
+def _vertex_count(family: str, p: dict) -> int:
+    # Vertices the family builds, from its parameters alone. Negative sizes
+    # count as 0 so that the generator reports them; subset_gadget checks
+    # its own cap.
+    def size(key):
+        return max(0, int(p[key]))
+
+    if family in ("path", "cycle", "random_bounded_degree", "random_tree"):
+        return size("n")
+    if family == "star":
+        return size("leaves") + 1
+    if family == "grid":
+        return size("w") * size("h")
+    if family == "spider":
+        return 1 + size("legs") * size("len")
+    if family == "subdivision":
+        n = size("n")
+        return n + size("r") * (n * (n - 1) // 2)
+    return 0
+
+
 def generate(spec: GenSpec) -> Graph:
-    """Build the graph a spec describes; same spec, identical graph."""
+    """Build the graph a spec describes; same spec, identical graph. A spec
+    for more than :data:`MAX_VERTICES` vertices raises :class:`SizeCapError`
+    before anything is built."""
     p = spec.params
     try:
+        count = _vertex_count(spec.family, p)
+        if count > MAX_VERTICES:
+            raise SizeCapError(f"{spec.family} with {count} vertices exceeds the cap of {MAX_VERTICES}")
         if spec.family == "grid":
             return grid_graph(int(p["w"]), int(p["h"]))
         if spec.family == "path":

@@ -255,12 +255,15 @@ class SubgraphMap:
 
 def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by s, with ids remapped to 0..|s|-1 in ascending
-    order of the original ids."""
+    order of the original ids. When s is all of V, g itself is returned."""
     to_orig = tuple(sorted(set(s)))
     if to_orig and not (0 <= to_orig[0] and to_orig[-1] < g.n):
         bad = to_orig[0] if to_orig[0] < 0 else to_orig[-1]
         raise IndexError(f"vertex {bad} out of range for n={g.n}")
     to_sub = {old: new for new, old in enumerate(to_orig)}
+    if len(to_orig) == g.n:
+        # s is all of V: the identity map, and g (immutable) is its own copy
+        return g, SubgraphMap(to_orig, to_sub)
     edges = []
     for new_u, old_u in enumerate(to_orig):
         for old_w in g.adj[old_u]:

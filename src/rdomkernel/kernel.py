@@ -114,9 +114,8 @@ def find_redundant_vertex(state: CoreState, threshold: int | None = None) -> Rem
     for u in outside:
         classes.setdefault(projection_profile(g, u, x_cl, 3 * r).entries, []).append(u)
     kappa_key, kappa = _largest_class(classes)
+    # kappa is non-empty, so the first round already scatters one vertex
     qw = quasi_wide_extract(g, kappa, 2 * r, m=len(kappa))
-    if not qw.scattered:
-        return None
     subclasses: dict[tuple, list[int]] = {}
     for v in sorted(qw.scattered):
         subclasses.setdefault(distance_profile(g, v, qw.separator, r).entries, []).append(v)

@@ -72,6 +72,7 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
         for v in live:
             for x in bounded_bfs(g, v, half, separator):
                 score[x] += 1
+        # every live vertex scores at least 1 from its own ball, so a hub exists
         hub = -1
         hub_score = 0
         for x in range(g.n):
@@ -79,8 +80,6 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
                 continue
             if score[x] > hub_score:
                 hub, hub_score = x, score[x]
-        if hub < 0:
-            return QwResult(frozenset(best_s), frozenset(best_b), rounds, False)
         separator.add(hub)
 
 

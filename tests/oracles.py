@@ -106,6 +106,20 @@ def brute_short_paths_closure(g: Graph, x, r: int) -> set[int]:
     return closed
 
 
+def brute_greedy_cover(g: Graph, z, r: int) -> frozenset[int]:
+    """Greedy set cover of z by closed r-balls read off the distance
+    matrix: each pick covers the most still-uncovered dominatees, lowest
+    id on ties."""
+    dist = floyd_warshall(g)
+    uncovered = set(z)
+    chosen = set()
+    while uncovered:
+        pick = max(range(g.n), key=lambda v: (sum(dist[v][x] <= r for x in uncovered), -v))
+        chosen.add(pick)
+        uncovered = {x for x in uncovered if dist[pick][x] > r}
+    return frozenset(chosen)
+
+
 def brute_dominates(g: Graph, d, z, r: int, dist=None) -> bool:
     if dist is None:
         dist = floyd_warshall(g)

@@ -194,6 +194,16 @@ class TestCli:
         assert main(["gen", "subset_gadget", "--a", "40"]) == 3
         assert "cap exceeded" in capsys.readouterr().err
 
+    def test_vertex_cap_stops_oversized_generators(self, capsys):
+        # each spec is refused from its parameters, before any edge is built
+        for argv in (
+            ["gen", "path", "--n", "3000000000"],
+            ["gen", "grid", "--w", "100000", "--h", "100000"],
+            ["gen", "subdivision", "--n", "100000", "--r", "1"],
+        ):
+            assert main(argv) == 3
+            assert "cap exceeded" in capsys.readouterr().err
+
     def test_verify_reports_skipped_oracle(self, tmp_path, capsys):
         outputs = ["--out", str(tmp_path / "k.edges"), "--zout", str(tmp_path / "k.z"),
                    "--stats", str(tmp_path / "k.csv")]

@@ -19,6 +19,7 @@ from rdomkernel.graphs import Graph, SizeCapError
 
 from .oracles import (
     brute_all_min_dominators,
+    brute_greedy_cover,
     brute_min_dominator_size,
     random_sparse_graph,
 )
@@ -207,6 +208,23 @@ class TestBgApproxDominator:
             approx = len(bg_approx_dominator(inst).dominator)
             opt = len(exact_min_dominator(inst).dominator)
             assert approx <= opt * (1 + math.log(len(z) + 1))
+
+    def test_both_names_return_the_greedy_cover(self):
+        rng = random.Random(49)
+        for trial in range(300):
+            base = random_sparse_graph(rng, rng.randint(1, 16))
+            relabel = list(range(base.n))
+            rng.shuffle(relabel)
+            g = Graph(base.n, [(relabel[u], relabel[v]) for u, v in base.edges()])
+            z = frozenset(v for v in range(g.n) if rng.random() < 0.7) if trial % 10 else frozenset()
+            r = rng.randint(1, 3)
+            inst = DominationInstance(g, z, r)
+            expected = brute_greedy_cover(g, z, r)
+            bound = len(greedy_scattered_lower_bound(inst))
+            for solver in (greedy_dominator, bg_approx_dominator):
+                result = solver(inst)
+                assert result.dominator == expected
+                assert result.optimal == (len(expected) == bound)
 
     def test_greedy_method_valid(self):
         rng = random.Random(47)

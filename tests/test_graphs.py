@@ -198,6 +198,13 @@ class TestInducedSubgraph:
                 for j, v in enumerate(s):
                     assert g.has_edge(u, v) == sub.has_edge(i, j) or i == j
 
+    def test_whole_vertex_set_returns_input(self):
+        g = grid_graph(4, 3)
+        sub, idmap = induced_subgraph(g, range(g.n))
+        assert sub is g
+        assert idmap.to_orig == tuple(range(g.n))
+        assert idmap.to_sub == {v: v for v in range(g.n)}
+
     def test_map_is_bidirectional(self):
         sub, idmap = induced_subgraph(path(5), {1, 3})
         assert all(idmap.to_orig[idmap.to_sub[v]] == v for v in (1, 3))
