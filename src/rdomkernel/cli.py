@@ -18,7 +18,7 @@ from .domset import (
     greedy_dominator,
     is_dominator,
 )
-from .generators import FAMILIES, GenSpec, generate
+from .generators import FAMILIES, PARAMETERS, GenSpec, generate
 from .graphs import Graph, ParseError, SizeCapError, bfs_within, dump_edge_list, load_edge_list
 from .kernel import VERIFY_CAP, annotate_to_plain, kernelize
 from .orderings import degeneracy_order, wcol_exact, wcol_of_order
@@ -81,11 +81,7 @@ def _read_vertex_set(spec: str, g: Graph, default_seed: int) -> set[int]:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for key in ("n", "w", "h", "leaves", "legs", "len", "a", "d", "r"):
-        value = getattr(args, "length" if key == "len" else key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in PARAMETERS if getattr(args, key) is not None}
     g = generate(GenSpec(args.family, params, args.seed))
     _write_text(args.out, dump_edge_list(g))
     return 0
@@ -214,15 +210,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a graph")
     p.add_argument("family", choices=FAMILIES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--h", type=int)
-    p.add_argument("--leaves", type=int)
-    p.add_argument("--legs", type=int)
-    p.add_argument("--len", dest="length", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
+    for key in PARAMETERS:
+        p.add_argument(f"--{key}", type=int)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_gen)
 

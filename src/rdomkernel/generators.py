@@ -8,20 +8,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from .graphs import MAX_VERTICES, Graph, SizeCapError
-
-FAMILIES = (
-    "grid",
-    "path",
-    "cycle",
-    "star",
-    "spider",
-    "random_bounded_degree",
-    "random_tree",
-    "subdivision",
-    "subset_gadget",
-)
+from .graphs import MAX_EDGES, MAX_VERTICES, Graph, SizeCapError
 
 
 @dataclass(frozen=True)
@@ -127,17 +116,7 @@ def random_bounded_degree_graph(n: int, d: int, seed: int) -> Graph:
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     rng.shuffle(stubs)
-    seen = set()
-    edges = []
-    for u, v in zip(stubs[0::2], stubs[1::2]):
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, edges)
+    return Graph(n, [(u, v) for u, v in zip(stubs[0::2], stubs[1::2]) if u != v])
 
 
 def random_tree_graph(n: int, seed: int) -> Graph:
@@ -148,54 +127,69 @@ def random_tree_graph(n: int, seed: int) -> Graph:
     return Graph(n, [(rng.randrange(i), i) for i in range(1, n)])
 
 
-def _vertex_count(family: str, p: dict) -> int:
-    # Vertices the family builds, from its parameters alone. Negative sizes
-    # count as 0 so that the generator reports them; subset_gadget checks
-    # its own cap.
-    def size(key):
-        return max(0, int(p[key]))
+class Family(NamedTuple):
+    """One generator family: its builder, the builder's parameter names in
+    argument order, and ``size(*params) -> (vertices, edges)`` for
+    non-negative parameters, where edges counts the largest edge-like list
+    the builder allocates. A seeded builder takes the seed last."""
 
-    if family in ("path", "cycle", "random_bounded_degree", "random_tree"):
-        return size("n")
-    if family == "star":
-        return size("leaves") + 1
-    if family == "grid":
-        return size("w") * size("h")
-    if family == "spider":
-        return 1 + size("legs") * size("len")
-    if family == "subdivision":
-        n = size("n")
-        return n + size("r") * (n * (n - 1) // 2)
-    return 0
+    build: Callable[..., Graph]
+    params: tuple[str, ...]
+    size: Callable[..., tuple[int, int]]
+    seeded: bool = False
+
+
+def _subset_gadget_size(a: int) -> tuple[int, int]:
+    # 2**a is never built for a huge a: such an a is left to the builder's
+    # own guard, which rejects it before any allocation
+    if a >= MAX_VERTICES.bit_length():
+        return 0, 0
+    subsets = 1 << a
+    return a + subsets, a * subsets // 2
+
+
+def _subdivision_size(n: int, r: int) -> tuple[int, int]:
+    # K_n's edges are built whatever r is; subdividing makes r+1 of each
+    k = n * (n - 1) // 2
+    return n + r * k, (r + 1) * k
+
+
+FAMILY_TABLE = {
+    "grid": Family(grid_graph, ("w", "h"), lambda w, h: (w * h, 2 * w * h)),
+    "path": Family(path_graph, ("n",), lambda n: (n, n)),
+    "cycle": Family(cycle_graph, ("n",), lambda n: (n, n)),
+    "star": Family(star_graph, ("leaves",), lambda leaves: (leaves + 1, leaves)),
+    "spider": Family(spider_graph, ("legs", "len"), lambda legs, len_: (1 + legs * len_, legs * len_)),
+    # the n*d degree stubs are allocated before any pairing
+    "random_bounded_degree": Family(
+        random_bounded_degree_graph, ("n", "d"), lambda n, d: (n, n * d), seeded=True
+    ),
+    "random_tree": Family(random_tree_graph, ("n",), lambda n: (n, n), seeded=True),
+    "subdivision": Family(subdivision_graph, ("n", "r"), _subdivision_size),
+    "subset_gadget": Family(subset_gadget_graph, ("a",), _subset_gadget_size),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+PARAMETERS = tuple(dict.fromkeys(name for family in FAMILY_TABLE.values() for name in family.params))
 
 
 def generate(spec: GenSpec) -> Graph:
     """Build the graph a spec describes; same spec, identical graph. A spec
-    for more than :data:`MAX_VERTICES` vertices raises :class:`SizeCapError`
-    before anything is built."""
-    p = spec.params
+    for more than :data:`~rdomkernel.graphs.MAX_VERTICES` vertices or more
+    than :data:`~rdomkernel.graphs.MAX_EDGES` edges raises
+    :class:`SizeCapError` from its parameters, before anything is built."""
+    family = FAMILY_TABLE.get(spec.family)
+    if family is None:
+        raise ValueError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
     try:
-        count = _vertex_count(spec.family, p)
-        if count > MAX_VERTICES:
-            raise SizeCapError(f"{spec.family} with {count} vertices exceeds the cap of {MAX_VERTICES}")
-        if spec.family == "grid":
-            return grid_graph(int(p["w"]), int(p["h"]))
-        if spec.family == "path":
-            return path_graph(int(p["n"]))
-        if spec.family == "cycle":
-            return cycle_graph(int(p["n"]))
-        if spec.family == "star":
-            return star_graph(int(p["leaves"]))
-        if spec.family == "spider":
-            return spider_graph(int(p["legs"]), int(p["len"]))
-        if spec.family == "random_bounded_degree":
-            return random_bounded_degree_graph(int(p["n"]), int(p["d"]), spec.seed)
-        if spec.family == "random_tree":
-            return random_tree_graph(int(p["n"]), spec.seed)
-        if spec.family == "subdivision":
-            return subdivision_graph(int(p["n"]), int(p["r"]))
-        if spec.family == "subset_gadget":
-            return subset_gadget_graph(int(p["a"]))
+        args = [int(spec.params[name]) for name in family.params]
     except KeyError as missing:
         raise ValueError(f"family {spec.family!r} needs parameter {missing.args[0]!r}") from None
-    raise ValueError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
+    # negative sizes count as 0, so that the builder reports them
+    vertices, edges = family.size(*(max(0, a) for a in args))
+    if vertices > MAX_VERTICES:
+        raise SizeCapError(f"{spec.family} with {vertices} vertices exceeds the cap of {MAX_VERTICES}")
+    if edges > MAX_EDGES:
+        raise SizeCapError(f"{spec.family} with {edges} edges exceeds the cap of {MAX_EDGES}")
+    if family.seeded:
+        args.append(spec.seed)
+    return family.build(*args)

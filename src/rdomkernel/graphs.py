@@ -17,6 +17,11 @@ INF = float("inf")
 # per-vertex allocation so an oversized header fails fast.
 MAX_VERTICES = 1 << 24
 
+# Largest edge list a generator may build, checked from its parameters
+# before any edge exists; 4 * MAX_VERTICES, so every bounded-degree family
+# that fits the vertex cap also fits this one.
+MAX_EDGES = 1 << 26
+
 
 class ParseError(ValueError):
     """Malformed text input; carries the offending 1-based line number."""
@@ -28,7 +33,8 @@ class ParseError(ValueError):
 
 class SizeCapError(RuntimeError):
     """An exact routine was asked to exceed its configured instance-size cap,
-    or an input declared more than :data:`MAX_VERTICES` vertices."""
+    or an input declared more than :data:`MAX_VERTICES` vertices or, for a
+    generator, more than :data:`MAX_EDGES` edges."""
 
 
 class Graph:
@@ -43,22 +49,18 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        lists: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        # neighbour sets drop repeated pairs, whichever way round they come
+        neighbours: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            lists[u].append(v)
-            lists[v].append(u)
+            neighbours[u].add(v)
+            neighbours[v].add(u)
         self.n = n
-        self.m = len(seen)
-        self.adj = tuple(tuple(sorted(nb)) for nb in lists)
+        self.adj = tuple(tuple(sorted(nb)) for nb in neighbours)
+        self.m = sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

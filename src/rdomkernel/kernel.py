@@ -141,10 +141,10 @@ def default_core_target(k: int) -> int:
     return 20 * k * math.ceil(math.log2(k + 2))
 
 
-def _verify_core_after_removal(g: Graph, z_after: frozenset[int], r: int, cap: int):
+def _verify_core_after_removal(g: Graph, z_after: frozenset[int], r: int):
     inst = DominationInstance(g, z_after, r)
     whole = DominationInstance(g, frozenset(range(g.n)), r)
-    for d in enumerate_min_dominators(inst, cap=cap):
+    for d in enumerate_min_dominators(inst, cap=VERIFY_CAP):
         if not is_dominator(whole, d):
             raise CoreVerificationError(
                 f"minimum dominator {sorted(d)} of the shrunk core misses part of the graph"
@@ -156,7 +156,6 @@ def find_core(
     target: int | None = None,
     threshold: int | None = None,
     verify: bool = False,
-    verify_cap: int = VERIFY_CAP,
 ) -> CoreState:
     """Shrink the dominatee set from V down toward ``target`` while it
     provably stays a domination core.
@@ -166,8 +165,8 @@ def find_core(
     (state.rejection is set). Otherwise one removal is attempted; the loop
     stops when none is found or the target size is reached. With ``verify``
     every removal is re-checked against the enumeration oracle (instances
-    up to verify_cap vertices only); state.verify records whether the
-    oracle ran or was skipped.
+    up to :data:`VERIFY_CAP` vertices only); state.verify records whether
+    the oracle ran or was skipped.
     """
     g, r, k = inst.g, inst.r, inst.k
     if target is None:
@@ -175,7 +174,7 @@ def find_core(
     z: set[int] = set(range(g.n))
     state = CoreState(inst, z)
     if verify:
-        state.verify = "oracle" if g.n <= verify_cap else "skipped"
+        state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
     while True:
         witness = greedy_scattered_lower_bound(replace(inst, z=frozenset(z)))
         if len(witness) > k:
@@ -189,7 +188,7 @@ def find_core(
         z.discard(step.removed)
         state.trace.append(step)
         if state.verify == "oracle":
-            _verify_core_after_removal(g, frozenset(z), r, verify_cap)
+            _verify_core_after_removal(g, frozenset(z), r)
 
 
 def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
@@ -235,13 +234,12 @@ def kernelize(
     target: int | None = None,
     threshold: int | None = None,
     verify: bool = False,
-    verify_cap: int = VERIFY_CAP,
 ) -> KernelResult:
     """End-to-end: find a core, then build the kernel from it. Rejections
     propagate with their witness; stats record every stage size and, as
     ``stats["verify"]``, whether verification was off, ran the oracle, or
-    was skipped because the instance exceeds ``verify_cap``."""
-    state = find_core(inst, target=target, threshold=threshold, verify=verify, verify_cap=verify_cap)
+    was skipped because the instance exceeds :data:`VERIFY_CAP`."""
+    state = find_core(inst, target=target, threshold=threshold, verify=verify)
     if state.rejection is not None:
         stats = {
             "n": inst.g.n,
@@ -261,16 +259,9 @@ def kernelize(
             trace=tuple(state.trace),
         )
     result = build_kernel_from_core(inst.g, state.z, inst.r)
-    stats = dict(result.stats)
-    stats["removed"] = len(state.trace)
-    stats["verify"] = state.verify
-    return KernelResult(
-        verdict="kernel",
-        graph=result.graph,
-        dominatees=result.dominatees,
-        idmap=result.idmap,
-        witness=None,
-        stats=stats,
+    return replace(
+        result,
+        stats={**result.stats, "removed": len(state.trace), "verify": state.verify},
         trace=tuple(state.trace),
     )
 

@@ -204,6 +204,16 @@ class TestCli:
             assert main(argv) == 3
             assert "cap exceeded" in capsys.readouterr().err
 
+    def test_edge_cap_stops_oversized_generators(self, capsys):
+        # each spec fits the vertex cap but would build billions of edges or stubs
+        for argv in (
+            ["gen", "subdivision", "--n", "100000", "--r", "0"],
+            ["gen", "subdivision", "--n", "100000", "--r", "-1"],
+            ["gen", "random_bounded_degree", "--n", "10", "--d", "10000000000"],
+        ):
+            assert main(argv) == 3
+            assert "cap exceeded" in capsys.readouterr().err
+
     def test_verify_reports_skipped_oracle(self, tmp_path, capsys):
         outputs = ["--out", str(tmp_path / "k.edges"), "--zout", str(tmp_path / "k.z"),
                    "--stats", str(tmp_path / "k.csv")]

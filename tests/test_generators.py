@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from rdomkernel.generators import (
+    FAMILY_TABLE,
     GenSpec,
     complete_graph,
     generate,
@@ -98,3 +101,20 @@ class TestGenerateDispatch:
     def test_invalid_parameter(self):
         with pytest.raises(ValueError):
             generate(GenSpec("cycle", {"n": 2}))
+
+    def test_table_sizes_match_built_graphs(self):
+        # the vertex count is exact; the edge count bounds every edge-like
+        # list the builder makes, which for the stub pairing is 2 per edge
+        for name, family in FAMILY_TABLE.items():
+            built = 0
+            for args in itertools.product((0, 1, 2, 3, 5), repeat=len(family.params)):
+                for seed in (0, 1, 2) if family.seeded else (0,):
+                    try:
+                        g = generate(GenSpec(name, dict(zip(family.params, args)), seed))
+                    except ValueError:
+                        continue  # outside the family's valid range
+                    vertices, edges = family.size(*args)
+                    assert vertices == g.n, (name, args)
+                    assert edges >= (2 * g.m if name == "random_bounded_degree" else g.m), (name, args)
+                    built += 1
+            assert built > 0, name
