@@ -2,8 +2,10 @@
 
 A plan is a flat text file of key=value lines; blank lines separate runs.
 Each run names a generator family with its parameters plus the pipeline
-knobs (r, k, target, t, verify). Output is one CSV row per run, emitted
-in plan order regardless of worker count.
+knobs (r, k, target, t, verify). A key ``gen.<name>`` passes ``<name>`` to
+the generator even when it is also a knob, as ``subdivision``'s ``gen.r``
+is. Output is one CSV row per run, emitted in plan order regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ def parse_plan(text: str) -> list[dict]:
 
 def run_one(entry: dict) -> dict:
     """Execute one plan entry and return its CSV row as a dict."""
-    params = {k: v for k, v in entry.items() if k not in _KNOB_KEYS}
+    params = {
+        k.removeprefix("gen."): v for k, v in entry.items() if k.startswith("gen.") or k not in _KNOB_KEYS
+    }
     spec = GenSpec(entry["family"], params, entry.get("seed", 0))
     g = generate(spec)
     inst = DominationInstance(g, frozenset(range(g.n)), entry["r"], entry["k"])

@@ -94,12 +94,15 @@ def _greedy_cover(n: int, cover, full: int) -> list[int]:
     return chosen
 
 
-def greedy_dominator(inst: DominationInstance) -> DominatorResult:
+def greedy_dominator(inst: DominationInstance, *, witness: frozenset[int] | None = None) -> DominatorResult:
     """Greedy cover: repeatedly take the vertex whose r-ball covers the most
     uncovered dominatees, lowest id on ties. Valid by construction, within
     the harmonic factor of optimal; ``optimal`` is set when the size meets
-    the scattered lower bound. ``bg_approx_dominator`` is an alias."""
-    witness = greedy_scattered_lower_bound(inst)
+    the scattered lower bound, which a caller that already holds
+    ``greedy_scattered_lower_bound(inst)`` passes as ``witness``.
+    ``bg_approx_dominator`` is an alias."""
+    if witness is None:
+        witness = greedy_scattered_lower_bound(inst)
     if not inst.z:
         return DominatorResult(frozenset(), True, witness)
     zs, cover = _coverage(inst)

@@ -11,7 +11,11 @@ into an induced subgraph with the same annotated domination number.
 Every removal decision is justified by a concrete recorded witness
 (approximate dominator, its closure, the profile class, separator, and
 exchange class) whose defining inequality can be re-checked after the
-fact; nothing relies on unverifiable size bounds.
+fact; nothing relies on unverifiable size bounds. One exchange analysis
+certifies a whole batch: every member of the exchange class beyond
+|buy| + 1 is redundant, so phase one removes them all before analysing
+again. Each removal still keeps its own recorded step, and the rejection
+route is checked once per analysis.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .domset import (
     is_dominator,
 )
 from .graphs import Graph, SubgraphMap, induced_subgraph
-from .profiles import distance_profile, projection_profile
+from .profiles import distance_profile, projection, projection_profile
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure, short_paths_closure
 
 
@@ -87,7 +91,9 @@ def _largest_class(groups: dict) -> tuple[tuple, list[int]]:
     return max(groups.items(), key=lambda item: (len(item[1]), -min(item[1])))
 
 
-def find_redundant_vertex(state: CoreState, threshold: int | None = None) -> RemovalStep | None:
+def find_redundant_vertex(
+    state: CoreState, threshold: int | None = None, *, witness: frozenset[int] | None = None
+) -> RemovalStep | None:
     """Locate one dominatee whose removal keeps the core property, with its
     justification record; the caller applies the removal.
 
@@ -97,14 +103,16 @@ def find_redundant_vertex(state: CoreState, threshold: int | None = None) -> Rem
     class, split that by distance profile on the separator, and test the
     exchange inequality |R| >= |projection of z onto closure, plus
     separator| + 2 on the largest piece. Absence means nothing removable
-    at current sizes, not an error.
+    at current sizes, not an error. ``witness``, when given, is the
+    scattered lower bound of the current core, handed to the dominator so
+    that it is not computed again.
     """
     inst = state.inst
     g, r = inst.g, inst.r
     z = frozenset(state.z)
     if not z:
         return None
-    x = bg_approx_dominator(replace(inst, z=z)).dominator
+    x = bg_approx_dominator(replace(inst, z=z), witness=witness).dominator
     t = threshold if threshold is not None else default_closure_threshold(g)
     x_cl = r_closure(g, x, 3 * r, t).closure
     outside = [u for u in sorted(z) if u not in x_cl]
@@ -160,13 +168,23 @@ def find_core(
     """Shrink the dominatee set from V down toward ``target`` while it
     provably stays a domination core.
 
-    Each loop first checks the rejection route: a scattered witness larger
-    than the budget k proves no k-vertex dominator exists and short-circuits
-    (state.rejection is set). Otherwise one removal is attempted; the loop
-    stops when none is found or the target size is reached. With ``verify``
-    every removal is re-checked against the enumeration oracle (instances
-    up to :data:`VERIFY_CAP` vertices only); state.verify records whether
-    the oracle ran or was skipped.
+    Each analysis first checks the rejection route: a scattered witness
+    larger than the budget k proves no k-vertex dominator exists and
+    short-circuits (state.rejection is set). Otherwise one exchange
+    analysis runs, and it certifies a batch: the members of its exchange
+    class R are removed in ascending id while the rest of R keeps at least
+    |buy| + 2 members (buy is the removed vertex's projection onto the
+    closure plus the separator) and the core is above the target. Each
+    removal appends its own :class:`RemovalStep`, whose exchange class is
+    what is left of R. This is sound because X still dominates the smaller
+    core, the closure does not depend on the core, and any subset of R
+    keeps R's projection class, its distance profile on the separator and
+    its scatteredness. The rejection route is checked once per analysis: a
+    scattered witness of a smaller core also certifies the whole instance.
+    The loop stops when an analysis finds nothing or the target size is
+    reached. With ``verify`` every removal is re-checked against the
+    enumeration oracle (instances up to :data:`VERIFY_CAP` vertices only);
+    state.verify records whether the oracle ran or was skipped.
     """
     g, r, k = inst.g, inst.r, inst.k
     if target is None:
@@ -182,13 +200,20 @@ def find_core(
             return state
         if len(z) <= target:
             return state
-        step = find_redundant_vertex(state, threshold)
+        step = find_redundant_vertex(state, threshold, witness=witness)
         if step is None:
             return state
-        z.discard(step.removed)
-        state.trace.append(step)
-        if state.verify == "oracle":
-            _verify_core_after_removal(g, frozenset(z), r)
+        buy = projection(g, step.removed, step.closure, 3 * r) | step.separator
+        members = sorted(step.exchange_class)
+        # the first pass appends the step itself; each later one the same
+        # certificate over what is left of the exchange class
+        for i in range(len(members) - len(buy) - 1):
+            if len(z) <= target:
+                break
+            z.discard(members[i])
+            state.trace.append(replace(step, removed=members[i], exchange_class=frozenset(members[i:])))
+            if state.verify == "oracle":
+                _verify_core_after_removal(g, frozenset(z), r)
 
 
 def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:

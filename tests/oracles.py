@@ -11,6 +11,7 @@ import itertools
 import random
 
 from rdomkernel.graphs import Graph
+from rdomkernel.kernel import CoreState, find_redundant_vertex
 
 INF = float("inf")
 
@@ -145,6 +146,23 @@ def brute_all_min_dominators(g: Graph, z, r: int) -> list[frozenset[int]]:
         for combo in itertools.combinations(range(g.n), size)
         if brute_dominates(g, combo, z, r, dist)
     ]
+
+
+def one_removal_per_analysis_core(inst, target: int = 0) -> frozenset[int]:
+    """Final core of the unbatched shrinking loop: each exchange analysis
+    removes only the vertex it names, then the analysis runs again. The
+    one exception to this module's rule: it runs the library's
+    ``find_redundant_vertex``, because what it is the reference for is
+    ``find_core``'s batching, not the analysis. It skips the rejection
+    route, so give it a budget no scattered witness exceeds (k = n)."""
+    z = set(range(inst.g.n))
+    state = CoreState(inst, z)
+    while len(z) > target:
+        step = find_redundant_vertex(state)
+        if step is None:
+            break
+        z.discard(step.removed)
+    return frozenset(z)
 
 
 def brute_vc_dimension(family) -> int:

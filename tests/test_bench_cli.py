@@ -153,6 +153,15 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
 
+    def test_gen_prefix_reaches_the_generator(self, tmp_path, capsys):
+        # r is both the radius knob and subdivision's depth
+        plan = tmp_path / "plan.txt"
+        plan.write_text("family=subdivision\nn=4\ngen.r=1\nr=1\nk=2\n")
+        assert main(["bench", "--plan", str(plan)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1].startswith("subdivision,10,12,1,2,")
+
     def test_pipeline_round_trip(self, tmp_path, capsys):
         # gen -> kernelize -> gadget -> solve: the plain instance built from
         # the kernel needs exactly one more dominator than the annotated one

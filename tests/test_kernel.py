@@ -1,5 +1,6 @@
 import random
 
+from rdomkernel import kernel
 from rdomkernel.domset import DominationInstance, enumerate_min_dominators, exact_min_dominator, is_dominator
 from rdomkernel.generators import cycle_graph, path_graph, spider_graph, star_graph
 from rdomkernel.graphs import induced_subgraph, is_r_independent
@@ -13,7 +14,7 @@ from rdomkernel.kernel import (
 )
 from rdomkernel.profiles import distance_profile, projection, projection_profile
 
-from .oracles import floyd_warshall, random_sparse_graph
+from .oracles import brute_dominates, floyd_warshall, one_removal_per_analysis_core, random_sparse_graph
 
 
 def full_instance(g, r, k=0):
@@ -120,6 +121,49 @@ class TestFindCore:
         state = find_core(full_instance(g, 1, 1), target=0)
         assert len(state.trace) == len({s.removed for s in state.trace})
         assert len(state.z) + len(state.trace) == g.n
+
+
+class TestBatchedRemovals:
+    def test_one_analysis_removes_a_batch(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return find_redundant_vertex(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "find_redundant_vertex", counting)
+        for g, r, removed, analyses in [(star_graph(50), 1, 48, 3), (spider_graph(30, 2), 2, 56, 3)]:
+            calls.clear()
+            state = find_core(full_instance(g, r, k=g.n), target=0)
+            assert len(state.trace) == removed
+            assert len(calls) <= analyses
+
+    def test_replayed_steps_are_certified(self):
+        rng = random.Random(61)
+        cases = [(star_graph(m), r, True) for m in range(2, 40, 3) for r in (1, 2, 3)]
+        cases += [(spider_graph(legs, 2), r, True) for legs in range(2, 14) for r in (1, 2, 3)]
+        cases += [(spider_graph(legs, 3), r, True) for legs in range(2, 9) for r in (1, 2, 3)]
+        # on random graphs a batch can end with a smaller core than the
+        # unbatched loop reaches (two r = 3 trees of the acceptance corpus
+        # do), so only the per-step certificates are checked
+        cases += [
+            (random_sparse_graph(rng, rng.randint(4, 24)), rng.randint(1, 3), False) for _ in range(120)
+        ]
+        removals = 0
+        for g, r, same_core in cases:
+            state = find_core(full_instance(g, r, k=g.n), target=0)
+            dist = floyd_warshall(g)
+            z = set(range(g.n))
+            for step in state.trace:
+                check_trace_step(g, r, step)
+                # batching relies on X still dominating the core before each removal
+                assert brute_dominates(g, step.dominator, z, r, dist)
+                z.remove(step.removed)
+            assert z == state.z
+            removals += len(state.trace)
+            if same_core:
+                assert state.z == one_removal_per_analysis_core(full_instance(g, r, k=g.n))
+        assert removals >= 500, removals
 
 
 class TestBuildKernelFromCore:
