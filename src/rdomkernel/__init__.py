@@ -48,9 +48,7 @@ from .kernel import (
 )
 from .orderings import Ordering, degeneracy_order, wcol_exact, wcol_of_order, wreach, wreach_all
 from .profiles import (
-    DistanceProfile,
     Profile,
-    ProjectionProfile,
     SetFamily,
     decode_projection_via_layers,
     distance_profile,

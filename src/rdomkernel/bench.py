@@ -2,34 +2,35 @@
 
 A plan is a flat text file of key=value lines; blank lines separate runs.
 Each run names a generator family with its parameters plus the pipeline
-knobs (r, k, target, t, verify). A key ``gen.<name>`` passes ``<name>`` to
-the generator even when it is also a knob, as ``subdivision``'s ``gen.r``
-is. Output is one CSV row per run, emitted in plan order regardless of
-worker count.
+knobs (r, k, seed, target, verify). A key ``gen.<name>`` passes ``<name>``
+to the generator even when it is also a knob, as ``subdivision``'s
+``gen.r`` is. Any other key is an error. Runs execute one after another in
+this process; output is one CSV row per run, in plan order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 
 from .domset import DominationInstance
-from .generators import GenSpec, generate
+from .generators import FAMILY_TABLE, GenSpec, generate
 from .graphs import ParseError
 from .kernel import kernelize
 
 CSV_HEADER = "family,n,m,r,k,z_final,kernel_n,reject,witness,wall_ms,seed"
 
-_KNOB_KEYS = {"family", "r", "k", "seed", "target", "t", "verify"}
+_KNOB_KEYS = {"family", "r", "k", "seed", "target", "verify"}
 
 
 def parse_plan(text: str) -> list[dict]:
-    """Parse the key=value block format; '#' starts a comment."""
+    """Parse the key=value block format; '#' starts a comment. A key that
+    is neither a knob nor a parameter of the block's family (with or
+    without ``gen.``) raises :class:`ParseError` at the block's line."""
     runs: list[dict] = []
     block: dict = {}
     block_line = 0
 
-    def flush(at_line: int):
+    def flush():
         if not block:
             return
         if "family" not in block:
@@ -38,13 +39,19 @@ def parse_plan(text: str) -> list[dict]:
             raise ParseError("run block missing 'r'", block_line)
         if "k" not in block:
             raise ParseError("run block missing 'k'", block_line)
+        family = FAMILY_TABLE.get(block["family"])
+        if family is None:
+            raise ParseError(f"unknown family {block['family']!r}", block_line)
+        for key in block:
+            if key not in _KNOB_KEYS and key.removeprefix("gen.") not in family.params:
+                raise ParseError(f"unknown key {key!r} for family {block['family']!r}", block_line)
         runs.append(dict(block))
         block.clear()
 
     for idx, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            flush(idx)
+            flush()
             continue
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", idx)
@@ -61,7 +68,7 @@ def parse_plan(text: str) -> list[dict]:
                 block[key] = int(value)
             except ValueError:
                 raise ParseError(f"value for {key!r} must be an integer, got {value!r}", idx) from None
-    flush(len(text.splitlines()) + 1)
+    flush()
     return runs
 
 
@@ -74,12 +81,7 @@ def run_one(entry: dict) -> dict:
     g = generate(spec)
     inst = DominationInstance(g, frozenset(range(g.n)), entry["r"], entry["k"])
     start = time.perf_counter()
-    result = kernelize(
-        inst,
-        target=entry.get("target"),
-        threshold=entry.get("t"),
-        verify=bool(entry.get("verify", 0)),
-    )
+    result = kernelize(inst, target=entry.get("target"), verify=bool(entry.get("verify", 0)))
     wall_ms = (time.perf_counter() - start) * 1000.0
     rejected = result.verdict != "kernel"
     return {
@@ -101,9 +103,6 @@ def format_row(row: dict) -> str:
     return ",".join(str(row[key]) for key in CSV_HEADER.split(","))
 
 
-def run_bench(runs: list[dict], workers: int = 1) -> list[dict]:
-    """Run a parsed plan; rows come back in plan order."""
-    if workers <= 1:
-        return [run_one(entry) for entry in runs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, runs))
+def run_bench(runs: list[dict]) -> list[dict]:
+    """Run a parsed plan one entry after another; rows come back in plan order."""
+    return [run_one(entry) for entry in runs]

@@ -31,6 +31,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching, so that a mistyped option never becomes a longer one
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -157,7 +161,7 @@ def _cmd_solve(args) -> int:
 def _cmd_kernelize(args) -> int:
     g = _read_graph(args.graph)
     inst = DominationInstance(g, frozenset(range(g.n)), args.r, args.k)
-    result = kernelize(inst, target=args.target, threshold=args.t, verify=args.verify)
+    result = kernelize(inst, target=args.target, verify=args.verify)
     stats_lines = ["stage,z,x,x_cl,classes,s,r_class,removed"]
     z_size = g.n
     for i, step in enumerate(result.trace, start=1):
@@ -194,7 +198,7 @@ def _cmd_bench(args) -> int:
             runs = bench_mod.parse_plan(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {args.plan}: {exc}") from None
-    rows = bench_mod.run_bench(runs, workers=args.workers)
+    rows = bench_mod.run_bench(runs)
     print(bench_mod.CSV_HEADER)
     for row in rows:
         print(bench_mod.format_row(row))
@@ -204,7 +208,6 @@ def _cmd_bench(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="rdomkernel", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="seed for random vertex sets")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers (bench)")
     parser.add_argument("--verify", action="store_true", help="oracle-check every core removal")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -260,7 +263,6 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
     p.add_argument("--out", default="kernel.edges")
     p.add_argument("--zout", default="kernel.z")
     p.add_argument("--stats", default="kernel.stats.csv")

@@ -31,7 +31,7 @@ from .domset import (
     is_dominator,
 )
 from .graphs import Graph, SubgraphMap, induced_subgraph
-from .profiles import distance_profile, projection, projection_profile
+from .profiles import distance_profile, projection_profile
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure, short_paths_closure
 
 
@@ -54,6 +54,7 @@ class RemovalStep:
     class_count: int
     separator: frozenset[int]
     exchange_class: frozenset[int]
+    buy: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -91,21 +92,20 @@ def _largest_class(groups: dict) -> tuple[tuple, list[int]]:
     return max(groups.items(), key=lambda item: (len(item[1]), -min(item[1])))
 
 
-def find_redundant_vertex(
-    state: CoreState, threshold: int | None = None, *, witness: frozenset[int] | None = None
-) -> RemovalStep | None:
+def find_redundant_vertex(state: CoreState, *, witness: frozenset[int] | None = None) -> RemovalStep | None:
     """Locate one dominatee whose removal keeps the core property, with its
     justification record; the caller applies the removal.
 
     Pipeline: approximate a dominator X of the current core, close it at
-    triple radius, split the core outside the closure by projection
-    profile, extract a scattered-behind-a-separator subset of the largest
-    class, split that by distance profile on the separator, and test the
-    exchange inequality |R| >= |projection of z onto closure, plus
-    separator| + 2 on the largest piece. Absence means nothing removable
-    at current sizes, not an error. ``witness``, when given, is the
-    scattered lower bound of the current core, handed to the dominator so
-    that it is not computed again.
+    triple radius at :func:`default_closure_threshold`, split the core
+    outside the closure by projection profile, extract a
+    scattered-behind-a-separator subset of the largest class, split that by
+    distance profile on the separator, and test the exchange inequality
+    |R| >= |buy| + 2 on the largest piece, where buy (recorded in the step)
+    is the removed vertex's projection onto the closure plus the separator.
+    Absence means nothing removable at current sizes, not an error.
+    ``witness``, when given, is the scattered lower bound of the current
+    core, handed to the dominator so that it is not computed again.
     """
     inst = state.inst
     g, r = inst.g, inst.r
@@ -113,8 +113,7 @@ def find_redundant_vertex(
     if not z:
         return None
     x = bg_approx_dominator(replace(inst, z=z), witness=witness).dominator
-    t = threshold if threshold is not None else default_closure_threshold(g)
-    x_cl = r_closure(g, x, 3 * r, t).closure
+    x_cl = r_closure(g, x, 3 * r, default_closure_threshold(g)).closure
     outside = [u for u in sorted(z) if u not in x_cl]
     if not outside:
         return None
@@ -130,7 +129,7 @@ def find_redundant_vertex(
     _, exchange = _largest_class(subclasses)
     zv = min(exchange)
     # zv lies in kappa, so its projection onto x_cl is the class key's targets
-    buy = {a for a, _ in kappa_key} | qw.separator
+    buy = frozenset(a for a, _ in kappa_key) | qw.separator
     if len(exchange) < len(buy) + 2:
         return None
     return RemovalStep(
@@ -141,6 +140,7 @@ def find_redundant_vertex(
         class_count=len(classes),
         separator=qw.separator,
         exchange_class=frozenset(exchange),
+        buy=buy,
     )
 
 
@@ -162,7 +162,6 @@ def _verify_core_after_removal(g: Graph, z_after: frozenset[int], r: int):
 def find_core(
     inst: DominationInstance,
     target: int | None = None,
-    threshold: int | None = None,
     verify: bool = False,
 ) -> CoreState:
     """Shrink the dominatee set from V down toward ``target`` while it
@@ -171,15 +170,16 @@ def find_core(
     Each analysis first checks the rejection route: a scattered witness
     larger than the budget k proves no k-vertex dominator exists and
     short-circuits (state.rejection is set). Otherwise one exchange
-    analysis runs, and it certifies a batch: the members of its exchange
-    class R are removed in ascending id while the rest of R keeps at least
-    |buy| + 2 members (buy is the removed vertex's projection onto the
-    closure plus the separator) and the core is above the target. Each
-    removal appends its own :class:`RemovalStep`, whose exchange class is
-    what is left of R. This is sound because X still dominates the smaller
-    core, the closure does not depend on the core, and any subset of R
-    keeps R's projection class, its distance profile on the separator and
-    its scatteredness. The rejection route is checked once per analysis: a
+    analysis runs, closing at :func:`default_closure_threshold` of g, and
+    it certifies a batch: the members of its exchange class R are removed
+    in ascending id while the rest of R keeps at least |buy| + 2 members
+    (``step.buy``: the removed vertex's projection onto the closure plus
+    the separator) and the core is above the target. Each removal appends
+    its own :class:`RemovalStep`, whose exchange class is what is left of
+    R. This is sound because X still dominates the smaller core, the
+    closure does not depend on the core, and any subset of R keeps R's
+    projection class, its distance profile on the separator and its
+    scatteredness. The rejection route is checked once per analysis: a
     scattered witness of a smaller core also certifies the whole instance.
     The loop stops when an analysis finds nothing or the target size is
     reached. With ``verify`` every removal is re-checked against the
@@ -200,14 +200,13 @@ def find_core(
             return state
         if len(z) <= target:
             return state
-        step = find_redundant_vertex(state, threshold, witness=witness)
+        step = find_redundant_vertex(state, witness=witness)
         if step is None:
             return state
-        buy = projection(g, step.removed, step.closure, 3 * r) | step.separator
         members = sorted(step.exchange_class)
         # the first pass appends the step itself; each later one the same
         # certificate over what is left of the exchange class
-        for i in range(len(members) - len(buy) - 1):
+        for i in range(len(members) - len(step.buy) - 1):
             if len(z) <= target:
                 break
             z.discard(members[i])
@@ -257,14 +256,14 @@ def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
 def kernelize(
     inst: DominationInstance,
     target: int | None = None,
-    threshold: int | None = None,
     verify: bool = False,
 ) -> KernelResult:
-    """End-to-end: find a core, then build the kernel from it. Rejections
+    """End-to-end: find a core (closing at :func:`default_closure_threshold`,
+    see :func:`find_core`), then build the kernel from it. Rejections
     propagate with their witness; stats record every stage size and, as
     ``stats["verify"]``, whether verification was off, ran the oracle, or
     was skipped because the instance exceeds :data:`VERIFY_CAP`."""
-    state = find_core(inst, target=target, threshold=threshold, verify=verify)
+    state = find_core(inst, target=target, verify=verify)
     if state.rejection is not None:
         stats = {
             "n": inst.g.n,

@@ -12,9 +12,9 @@ the equivalence-classing stages of the kernel pipeline rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import INF, Graph, SizeCapError, bfs_within, bounded_bfs
+from .graphs import Graph, SizeCapError, bfs_within, bounded_bfs
 
 
 @dataclass(frozen=True)
@@ -24,22 +24,9 @@ class Profile:
     profile."""
 
     entries: tuple[tuple[int, int], ...]
-    r: int = field(compare=False)
-
-    def value(self, v: int):
-        for a, d in self.entries:
-            if a == v:
-                return d
-        return INF
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
-
-    def keys(self) -> set[int]:
-        return {a for a, _ in self.entries}
-
-
-DistanceProfile = ProjectionProfile = Profile
 
 
 @dataclass(frozen=True)
@@ -78,7 +65,7 @@ def _avoiding_targets(u: int, a) -> frozenset[int]:
 
 
 def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
-    return Profile(_entries(bfs_within(g, u, r), frozenset(a)), r)
+    return Profile(_entries(bfs_within(g, u, r), frozenset(a)))
 
 
 def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
@@ -89,7 +76,7 @@ def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
 
 def projection_profile(g: Graph, u: int, a, r: int) -> Profile:
     targets = _avoiding_targets(u, a)
-    return Profile(_entries(bounded_bfs(g, u, r, targets), targets), r)
+    return Profile(_entries(bounded_bfs(g, u, r, targets), targets))
 
 
 def _count_distinct(keys, cap: int | None) -> int:
@@ -161,7 +148,7 @@ def decode_projection_via_layers(g: Graph, a, r: int, u: int) -> Profile:
             if dist.get(i * n + v) == i:
                 entries.append((v, i))
                 break
-    return Profile(tuple(entries), r)
+    return Profile(tuple(entries))
 
 
 def _is_shattered(x: frozenset[int], members) -> bool:

@@ -32,7 +32,6 @@ class ClosureResult:
     smaller than the threshold. ``added`` lists hub vertices in pick order."""
 
     closure: frozenset[int]
-    threshold: int
     added: tuple[int, ...]
 
 
@@ -117,7 +116,7 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
             break
         y |= {pick}
         added.append(pick)
-    return ClosureResult(y, t, tuple(added))
+    return ClosureResult(y, tuple(added))
 
 
 def short_paths_closure(g: Graph, x, r: int) -> set[int]:

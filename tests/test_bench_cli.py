@@ -41,6 +41,19 @@ class TestPlanParsing:
             parse_plan("family=path\nwhat\n")
         assert err.value.line == 2
 
+    def test_unknown_keys_are_errors(self):
+        # a typo, a removed knob, and a generator key of another family
+        for key in ("targte", "t", "gen.r"):
+            with pytest.raises(ParseError) as err:
+                parse_plan(f"family=path\nn=5\nr=1\nk=2\n\nfamily=path\nn=5\n{key}=0\nr=1\nk=2\n")
+            assert err.value.line == 6
+            assert repr(key) in str(err.value)
+
+    def test_unknown_family_is_an_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_plan("family=nosuch\nn=5\nr=1\nk=2\n")
+        assert err.value.line == 1
+
 
 class TestRunBench:
     def test_spider_plan_rows(self):
@@ -64,12 +77,6 @@ class TestRunBench:
         rows = run_bench(parse_plan(plan))
         ns = [row["n"] for row in rows]
         assert ns == sorted(ns) == [16, 36, 64]
-
-    def test_workers_preserve_order(self):
-        rows_serial = run_bench(parse_plan(SPIDER_PLAN), workers=1)
-        rows_parallel = run_bench(parse_plan(SPIDER_PLAN), workers=2)
-        strip = lambda row: {k: v for k, v in row.items() if k != "wall_ms"}
-        assert list(map(strip, rows_serial)) == list(map(strip, rows_parallel))
 
     def test_row_formatting(self):
         row = run_bench(parse_plan(SPIDER_PLAN))[0]
@@ -152,6 +159,26 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
+
+    def test_unknown_plan_key_exits_2(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        for key in ("targte", "t"):
+            plan.write_text(f"family=star\nleaves=40\nr=1\nk=1\n{key}=0\n")
+            assert main(["bench", "--plan", str(plan)]) == 2
+            assert f"line 1: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_removed_options_exit_1(self, tmp_path, capsys):
+        graph_file = tmp_path / "star.edges"
+        graph_file.write_text("\n".join(f"0 {i}" for i in range(1, 11)) + "\n")
+        plan = tmp_path / "plan.txt"
+        plan.write_text(SPIDER_PLAN)
+        # without prefix matching --t is not taken for --target
+        assert main(["kernelize", "--graph", str(graph_file), "--r", "1", "--k", "1", "--t", "5",
+                     "--out", str(tmp_path / "k.edges"), "--zout", str(tmp_path / "k.z"),
+                     "--stats", str(tmp_path / "k.csv")]) == 1
+        assert main(["--workers", "2", "bench", "--plan", str(plan)]) == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "k.edges").exists()
 
     def test_gen_prefix_reaches_the_generator(self, tmp_path, capsys):
         # r is both the radius knob and subdivision's depth

@@ -3,7 +3,7 @@ import random
 from rdomkernel import kernel
 from rdomkernel.domset import DominationInstance, enumerate_min_dominators, exact_min_dominator, is_dominator
 from rdomkernel.generators import cycle_graph, path_graph, spider_graph, star_graph
-from rdomkernel.graphs import induced_subgraph, is_r_independent
+from rdomkernel.graphs import Graph, induced_subgraph, is_r_independent
 from rdomkernel.kernel import (
     CoreState,
     annotate_to_plain,
@@ -13,6 +13,7 @@ from rdomkernel.kernel import (
     kernelize,
 )
 from rdomkernel.profiles import distance_profile, projection, projection_profile
+from rdomkernel.sparsity import default_closure_threshold
 
 from .oracles import brute_dominates, floyd_warshall, one_removal_per_analysis_core, random_sparse_graph
 
@@ -32,8 +33,9 @@ def core_property_holds(g, z, r):
     return all(is_dominator(whole, d) for d in enumerate_min_dominators(inst))
 
 
-def check_trace_step(g, r, step):
-    # the recorded witness must satisfy everything the exchange argument uses
+def check_trace_step(g, r, step, checked_closures):
+    # the recorded witness must satisfy everything the exchange argument uses;
+    # checked_closures holds the closures of g whose postcondition already held
     assert step.removed in step.exchange_class
     assert step.exchange_class <= step.profile_class
     profs = {projection_profile(g, v, step.closure, 3 * r).entries for v in step.exchange_class}
@@ -44,7 +46,26 @@ def check_trace_step(g, r, step):
     sprofs = {distance_profile(g, v, step.separator, r).entries for v in step.exchange_class}
     assert len(sprofs) == 1
     buy = projection(g, step.removed, step.closure, 3 * r) | set(step.separator)
+    assert step.buy == buy
     assert len(step.exchange_class) >= len(buy) + 2
+    # the closure postcondition depends on the closure alone, and the steps
+    # of one batch share their closure
+    if step.closure not in checked_closures:
+        t = default_closure_threshold(g)
+        outside = (u for u in range(g.n) if u not in step.closure)
+        assert all(len(projection(g, u, step.closure, 3 * r)) < t for u in outside)
+        checked_closures.add(step.closure)
+
+
+def linked_stars(centers, leaves):
+    """Stars on the centers 0..centers-1, each center joined by a 2-edge
+    path to one last vertex. That vertex reaches every center by an
+    avoiding path, so the 3r-closure of a dominator grows past it."""
+    n = centers * (leaves + 2) + 1
+    edges = [(c, centers + c * leaves + i) for c in range(centers) for i in range(leaves)]
+    links = range(centers * (leaves + 1), n - 1)
+    edges += [(c, a) for c, a in zip(range(centers), links)] + [(a, n - 1) for a in links]
+    return Graph(n, edges)
 
 
 class TestFindRedundantVertex:
@@ -81,8 +102,20 @@ class TestFindRedundantVertex:
     def test_trace_steps_carry_valid_justification(self):
         for g, r in [(star_graph(18), 1), (star_graph(14), 2), (spider_graph(6, 2), 1)]:
             state = find_core(full_instance(g, r, k=g.n), target=0)
+            checked = set()
             for step in state.trace:
-                check_trace_step(g, r, step)
+                check_trace_step(g, r, step, checked)
+
+    def test_steps_with_closure_hubs_carry_valid_justification(self):
+        hubbed = 0
+        for g, r in [(linked_stars(6, 6), 1), (linked_stars(7, 6), 2)]:
+            state = find_core(full_instance(g, r, k=g.n), target=0)
+            checked = set()
+            for step in state.trace:
+                check_trace_step(g, r, step, checked)
+                hubbed += step.closure != step.dominator
+            assert len(state.trace) >= 24
+        assert hubbed >= 20, hubbed
 
 
 class TestFindCore:
@@ -154,8 +187,9 @@ class TestBatchedRemovals:
             state = find_core(full_instance(g, r, k=g.n), target=0)
             dist = floyd_warshall(g)
             z = set(range(g.n))
+            checked = set()
             for step in state.trace:
-                check_trace_step(g, r, step)
+                check_trace_step(g, r, step, checked)
                 # batching relies on X still dominating the core before each removal
                 assert brute_dominates(g, step.dominator, z, r, dist)
                 z.remove(step.removed)
