@@ -22,10 +22,19 @@ CSV_HEADER = "family,n,m,r,k,z_final,kernel_n,reject,witness,wall_ms,seed"
 _KNOB_KEYS = {"family", "r", "k", "seed", "target", "verify"}
 
 
+def _generator_params(entry: dict) -> dict:
+    # gen.<name> keys and non-knob keys, as the generator's parameters
+    return {
+        k.removeprefix("gen."): v for k, v in entry.items() if k.startswith("gen.") or k not in _KNOB_KEYS
+    }
+
+
 def parse_plan(text: str) -> list[dict]:
     """Parse the key=value block format; '#' starts a comment. A key that
     is neither a knob nor a parameter of the block's family (with or
-    without ``gen.``) raises :class:`ParseError` at the block's line."""
+    without ``gen.``), or a parameter of the family that the block does
+    not give, raises :class:`ParseError` at the block's line, before any
+    run starts."""
     runs: list[dict] = []
     block: dict = {}
     block_line = 0
@@ -45,6 +54,10 @@ def parse_plan(text: str) -> list[dict]:
         for key in block:
             if key not in _KNOB_KEYS and key.removeprefix("gen.") not in family.params:
                 raise ParseError(f"unknown key {key!r} for family {block['family']!r}", block_line)
+        params = _generator_params(block)
+        for name in family.params:
+            if name not in params:
+                raise ParseError(f"family {block['family']!r} needs parameter {name!r}", block_line)
         runs.append(dict(block))
         block.clear()
 
@@ -74,10 +87,7 @@ def parse_plan(text: str) -> list[dict]:
 
 def run_one(entry: dict) -> dict:
     """Execute one plan entry and return its CSV row as a dict."""
-    params = {
-        k.removeprefix("gen."): v for k, v in entry.items() if k.startswith("gen.") or k not in _KNOB_KEYS
-    }
-    spec = GenSpec(entry["family"], params, entry.get("seed", 0))
+    spec = GenSpec(entry["family"], _generator_params(entry), entry.get("seed", 0))
     g = generate(spec)
     inst = DominationInstance(g, frozenset(range(g.n)), entry["r"], entry["k"])
     start = time.perf_counter()

@@ -10,6 +10,7 @@ by construction; ``bg_approx_dominator`` is kept as an alias of it.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -78,19 +79,30 @@ def _coverage(inst: DominationInstance):
     return zs, cover
 
 
-def _greedy_cover(n: int, cover, full: int) -> list[int]:
-    # Classic greedy set cover over the coverage masks; lowest id on ties.
+def _greedy_cover(cover, full: int) -> list[int]:
+    """Greedy set cover over the coverage masks, lowest id on ties.
+
+    Lazy greedy (Minoux, 1978) on a heap keyed ``(-gain, id)``: a popped
+    vertex's gain is recomputed and it is taken only when its fresh key
+    is still at most the heap's top, else the fresh key goes back. Gains
+    only fall as coverage grows, so every stored key bounds its vertex's
+    true key from below and the taken vertex has the largest gain, lowest
+    id on ties: the same pick as a scan over all n masks. Each pop costs
+    one mask count and O(log n) heap steps, and a vertex is popped again
+    only after its gain has fallen.
+    """
+    heap = [(-c.bit_count(), v) for v, c in enumerate(cover) if c]
+    heapq.heapify(heap)
     chosen = []
     covered = 0
     while covered != full:
-        pick = -1
-        gain = 0
-        for v in range(n):
-            g = (cover[v] & ~covered).bit_count()
-            if g > gain:
-                pick, gain = v, g
-        chosen.append(pick)
-        covered |= cover[pick]
+        _, v = heapq.heappop(heap)
+        key = (-(cover[v] & ~covered).bit_count(), v)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        chosen.append(v)
+        covered |= cover[v]
     return chosen
 
 
@@ -106,7 +118,7 @@ def greedy_dominator(inst: DominationInstance, *, witness: frozenset[int] | None
     if not inst.z:
         return DominatorResult(frozenset(), True, witness)
     zs, cover = _coverage(inst)
-    chosen = _greedy_cover(inst.g.n, cover, (1 << len(zs)) - 1)
+    chosen = _greedy_cover(cover, (1 << len(zs)) - 1)
     return DominatorResult(frozenset(chosen), len(chosen) == len(witness), witness)
 
 
@@ -137,7 +149,7 @@ def exact_min_dominator(inst: DominationInstance, cap: int = 64) -> DominatorRes
         near = bounded_bfs(inst.g, zv, 2 * inst.r)
         conflict.append(sum(1 << j for j, other in enumerate(zs) if other in near))
 
-    best = _greedy_cover(inst.g.n, cover, full)
+    best = _greedy_cover(cover, full)
     memo: dict[int, int] = {}
 
     def scattered_lb(covered: int) -> int:

@@ -10,6 +10,7 @@ order serves as the upper-bound witness.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .graphs import Graph, SizeCapError, bounded_bfs
@@ -102,18 +103,32 @@ def wcol_of_order(g: Graph, order: Ordering, r: int) -> int:
 
 def degeneracy_order(g: Graph) -> Ordering:
     """Smallest-last order: repeatedly delete a minimum-degree vertex
-    (lowest id on ties); vertices removed last come first in the order."""
+    (lowest id on ties); vertices removed last come first in the order.
+
+    A heap of ``(degree, id)`` entries with lazy deletion (Matula & Beck,
+    1983): each degree drop pushes a fresh entry and leaves the old one in
+    place. Degrees only fall, so a vertex's current entry sorts before its
+    stale ones and pops first; the stale ones pop after the vertex is gone
+    and are skipped. Every pop of a live vertex is thus the least
+    ``(degree, id)`` among the remaining vertices, the same pick as a scan
+    over all of them. O((n + m) log n).
+    """
     n = g.n
     deg = [g.degree(v) for v in range(n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
     removed = [False] * n
     removal = []
-    for _ in range(n):
-        v = min((u for u in range(n) if not removed[u]), key=lambda u: (deg[u], u))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if removed[v]:
+            continue
         removed[v] = True
         removal.append(v)
         for w in g.adj[v]:
             if not removed[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return Ordering.from_sequence(reversed(removal))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from rdomkernel.generators import grid_graph, spider_graph, star_graph
 from rdomkernel.graphs import Graph
 from rdomkernel.kernel import CoreState, find_redundant_vertex
 
@@ -121,6 +122,19 @@ def brute_greedy_cover(g: Graph, z, r: int) -> frozenset[int]:
     return frozenset(chosen)
 
 
+def brute_degeneracy_order(g: Graph) -> tuple[int, ...]:
+    """Smallest-last order sequence by its definition: repeatedly delete a
+    vertex of least degree among those left, degrees recounted from
+    scratch, lowest id on ties; the last deleted comes first."""
+    alive = set(range(g.n))
+    removal = []
+    while alive:
+        v = min(alive, key=lambda u: (sum(w in alive for w in g.adj[u]), u))
+        alive.discard(v)
+        removal.append(v)
+    return tuple(reversed(removal))
+
+
 def brute_dominates(g: Graph, d, z, r: int, dist=None) -> bool:
     if dist is None:
         dist = floyd_warshall(g)
@@ -212,3 +226,28 @@ def random_sparse_graph(rng: random.Random, n: int) -> Graph:
         if u != v:
             edges.append((min(u, v), max(u, v)))
     return Graph(n, edges)
+
+
+def relabelled(rng: random.Random, g: Graph) -> Graph:
+    """g with its vertex ids shuffled, so that id tie-breaks land anywhere."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def tie_heavy_graphs(rng: random.Random, count: int, max_n: int, max_side: int):
+    """Seeded, relabelled graphs with many equal degrees and equal ball
+    sizes, cycling through random sparse graphs (n <= max_n), grids (sides
+    <= max_side), stars and spiders."""
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            base = random_sparse_graph(rng, rng.randint(1, max_n))
+        elif kind == 1:
+            base = grid_graph(rng.randint(1, max_side), rng.randint(1, max_side))
+        elif kind == 2:
+            base = star_graph(rng.randint(0, max_n - 1))
+        else:
+            legs = rng.randint(0, 6)
+            base = spider_graph(legs, rng.randint(1, max(1, (max_n - 1) // max(legs, 1))))
+        yield relabelled(rng, base)

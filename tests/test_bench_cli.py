@@ -49,6 +49,18 @@ class TestPlanParsing:
             assert err.value.line == 6
             assert repr(key) in str(err.value)
 
+    def test_missing_family_parameter_is_an_error(self):
+        plans = (
+            ("family=spider\nlegs=3\nlen=2\nr=1\nk=3\n\nfamily=path\nr=1\nk=1\n", 7, "n"),
+            # an unprefixed r is the radius knob, not subdivision's depth
+            ("family=subdivision\nn=4\nr=1\nk=2\n", 1, "r"),
+        )
+        for text, line, name in plans:
+            with pytest.raises(ParseError) as err:
+                parse_plan(text)
+            assert err.value.line == line
+            assert f"needs parameter {name!r}" in str(err.value)
+
     def test_unknown_family_is_an_error(self):
         with pytest.raises(ParseError) as err:
             parse_plan("family=nosuch\nn=5\nr=1\nk=2\n")
@@ -166,6 +178,17 @@ class TestCli:
             plan.write_text(f"family=star\nleaves=40\nr=1\nk=1\n{key}=0\n")
             assert main(["bench", "--plan", str(plan)]) == 2
             assert f"line 1: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_missing_parameter_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr("rdomkernel.bench.run_one", ran.append)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("family=grid\nw=30\nh=30\nr=2\nk=900\ntarget=0\n\nfamily=path\nr=1\nk=1\n")
+        assert main(["bench", "--plan", str(plan)]) == 2
+        assert ran == []
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "line 8: family 'path' needs parameter 'n'" in out.err
 
     def test_removed_options_exit_1(self, tmp_path, capsys):
         graph_file = tmp_path / "star.edges"

@@ -22,6 +22,7 @@ from .oracles import (
     brute_greedy_cover,
     brute_min_dominator_size,
     random_sparse_graph,
+    tie_heavy_graphs,
 )
 
 
@@ -103,6 +104,17 @@ class TestExactMinDominator:
             r = rng.randint(1, 2)
             inst = DominationInstance(g, z, r)
             assert len(exact_min_dominator(inst).dominator) >= len(greedy_scattered_lower_bound(inst))
+
+
+    def test_size_matches_enumeration_with_heavy_ties(self):
+        rng = random.Random(44)
+        for g in tie_heavy_graphs(rng, 60, max_n=12, max_side=3):
+            z = frozenset(v for v in range(g.n) if rng.random() < 0.7)
+            inst = DominationInstance(g, z, rng.randint(1, 3))
+            got = exact_min_dominator(inst).dominator
+            optima = brute_all_min_dominators(g, z, inst.r)
+            assert got in optima
+            assert got in enumerate_min_dominators(inst)
 
 
 class TestEnumerateMinDominators:
@@ -225,6 +237,13 @@ class TestBgApproxDominator:
                 result = solver(inst)
                 assert result.dominator == expected
                 assert result.optimal == (len(expected) == bound)
+
+    def test_greedy_cover_with_heavy_ties(self):
+        rng = random.Random(50)
+        for g in tie_heavy_graphs(rng, 120, max_n=60, max_side=12):
+            z = frozenset(v for v in range(g.n) if rng.random() < 0.7) if rng.random() < 0.5 else all_of(g)
+            inst = DominationInstance(g, z, rng.randint(1, 3))
+            assert greedy_dominator(inst).dominator == brute_greedy_cover(g, z, inst.r)
 
     def test_greedy_method_valid(self):
         rng = random.Random(47)

@@ -13,7 +13,7 @@ from rdomkernel.orderings import (
     wreach_all,
 )
 
-from .oracles import brute_wcol_exact, brute_wreach, random_graph
+from .oracles import brute_degeneracy_order, brute_wcol_exact, brute_wreach, random_graph, tie_heavy_graphs
 
 
 def path(n):
@@ -164,3 +164,8 @@ class TestDegeneracyOrder:
             for r in (1, 2):
                 exact, _ = wcol_exact(g, r)
                 assert exact <= wcol_of_order(g, degeneracy_order(g), r)
+
+    def test_sequence_matches_linear_scan(self):
+        rng = random.Random(29)
+        for g in tie_heavy_graphs(rng, 300, max_n=40, max_side=8):
+            assert degeneracy_order(g).sequence() == brute_degeneracy_order(g)
