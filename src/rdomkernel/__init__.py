@@ -60,6 +60,7 @@ from .profiles import (
     projection,
     projection_profile,
     sauer_shelah_bound,
+    target_traces,
     vc_dimension,
 )
 from .sparsity import (

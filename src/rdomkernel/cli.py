@@ -19,10 +19,10 @@ from .domset import (
     is_dominator,
 )
 from .generators import FAMILIES, PARAMETERS, GenSpec, generate
-from .graphs import Graph, ParseError, SizeCapError, bfs_within, dump_edge_list, load_edge_list
+from .graphs import Graph, ParseError, SizeCapError, dump_edge_list, load_edge_list
 from .kernel import VERIFY_CAP, annotate_to_plain, kernelize
 from .orderings import degeneracy_order, wcol_exact, wcol_of_order
-from .profiles import SetFamily, mu_hat_r, mu_r, nu_hat_r, nu_r, vc_dimension
+from .profiles import SetFamily, mu_hat_r, mu_r, nu_hat_r, nu_r, target_traces, vc_dimension
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure
 
 
@@ -104,7 +104,7 @@ def _cmd_complexity(args) -> int:
         value = mu_hat_r(g, a, args.r, cap=args.cap)
     else:  # vc of the neighborhood traces on A
         index = {v: i for i, v in enumerate(sorted(a))}
-        traces = {frozenset(index[x] for x in a & bfs_within(g, v, args.r).keys()) for v in range(g.n)}
+        traces = {frozenset(index[x] for x in trace) for trace in target_traces(g, a, args.r)}
         value = vc_dimension(SetFamily.from_sets(len(a), traces), cap=args.vc_cap)
     print("graph,n,m,a,r,metric,value")
     print(f"{args.graph},{g.n},{g.m},{len(a)},{args.r},{args.metric},{value}")

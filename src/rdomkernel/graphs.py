@@ -155,15 +155,22 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
     """Distances from ``source`` up to radius ``r`` over paths whose interior
     avoids ``stop``.
 
-    Vertices of ``stop`` get a distance when reached but are never expanded;
-    ``source`` must lie outside ``stop``. Vertices not reached are absent.
-    No argument checks: this is the shared loop behind every single-source
-    radius query, and the public callers validate their own inputs.
+    Vertices of ``stop`` get a distance when reached but are never expanded,
+    except ``source`` itself, which is always expanded: a search from a
+    member of a target set, with the whole set as ``stop``, follows exactly
+    the paths that avoid every other target. Vertices not reached are
+    absent. No argument checks: this is the shared loop behind every
+    single-source radius query, and the public callers validate their own
+    inputs.
     """
     adj = g.adj
     dist = {source: 0}
-    frontier = [source]
-    d = 0
+    if r < 1:
+        return dist
+    frontier = adj[source]
+    for w in frontier:
+        dist[w] = 1
+    d = 1
     while frontier and d < r:
         d += 1
         nxt = []

@@ -7,6 +7,11 @@ length of a shortest A-avoiding path, i.e. a path whose only A-vertex is
 its final endpoint. Profiles are canonical sorted (vertex, value) tuples
 so they hash in O(size) and compare in O(1) after hashing, which is what
 the equivalence-classing stages of the kernel pipeline rely on.
+
+The complexity counters count distinct traces over all vertices. They
+search from the targets' side: one radius-r BFS per target fills in every
+vertex's trace, so a count costs O(sum of |N_r[a]| over a in A), not n
+searches.
 """
 
 from __future__ import annotations
@@ -79,39 +84,69 @@ def projection_profile(g: Graph, u: int, a, r: int) -> Profile:
     return Profile(_entries(bounded_bfs(g, u, r, targets), targets))
 
 
+def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool = False) -> list[tuple]:
+    """Every vertex's trace on A, indexed by vertex.
+
+    A trace is the sorted tuple of the targets within radius r, or with
+    ``distances`` the sorted (target, distance) pairs. With ``avoiding``
+    only A-avoiding paths count, so for v outside A the trace is its
+    projection (profile). Distances are symmetric, so one
+    :func:`bounded_bfs` from each target (with A as its stop set, when
+    avoiding) fills in every trace: the cost is O(sum of |N_r[a]| over a
+    in A) instead of one search from each of the n vertices.
+    """
+    if r < 0:
+        raise ValueError("radius must be non-negative")
+    targets = frozenset(a)
+    if targets:
+        lo, hi = min(targets), max(targets)
+        if not (0 <= lo and hi < g.n):
+            raise IndexError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
+    stop = targets if avoiding else ()
+    traces: list[list] = [[] for _ in range(g.n)]
+    for t in sorted(targets):
+        if distances:
+            for v, d in bounded_bfs(g, t, r, stop).items():
+                traces[v].append((t, d))
+        else:
+            for v in bounded_bfs(g, t, r, stop):
+                traces[v].append(t)
+    return [tuple(trace) for trace in traces]
+
+
 def _count_distinct(keys, cap: int | None) -> int:
-    distinct = set()
-    for key in keys:
-        distinct.add(key)
-        if cap is not None and len(distinct) > cap:
-            raise SizeCapError(f"distinct-profile count exceeded cap {cap}")
+    distinct = set(keys)
+    if cap is not None and len(distinct) > cap:
+        raise SizeCapError(f"distinct-profile count exceeded cap {cap}")
     return len(distinct)
 
 
 def nu_r(g: Graph, a, r: int, cap: int | None = None) -> int:
-    """Number of distinct sets ball(v, r) & A over all vertices v."""
-    targets = frozenset(a)
-    return _count_distinct((targets.intersection(bounded_bfs(g, v, r)) for v in range(g.n)), cap)
+    """Number of distinct sets ball(v, r) & A over all vertices v; one
+    radius-r BFS per target."""
+    return _count_distinct(target_traces(g, a, r), cap)
 
 
 def nu_hat_r(g: Graph, a, r: int, cap: int | None = None) -> int:
-    """Number of distinct radius-r distance profiles on A over all vertices."""
-    targets = frozenset(a)
-    return _count_distinct((_entries(bounded_bfs(g, v, r), targets) for v in range(g.n)), cap)
+    """Number of distinct radius-r distance profiles on A over all
+    vertices; one radius-r BFS per target."""
+    return _count_distinct(target_traces(g, a, r, distances=True), cap)
 
 
 def mu_r(g: Graph, a, r: int, cap: int | None = None) -> int:
-    """Number of distinct radius-r projections on A, over vertices outside A."""
+    """Number of distinct radius-r projections on A, over vertices outside
+    A; one A-avoiding radius-r BFS per target."""
     targets = frozenset(a)
-    outside = (v for v in range(g.n) if v not in targets)
-    return _count_distinct((targets.intersection(bounded_bfs(g, v, r, targets)) for v in outside), cap)
+    traces = target_traces(g, targets, r, avoiding=True)
+    return _count_distinct((traces[v] for v in range(g.n) if v not in targets), cap)
 
 
 def mu_hat_r(g: Graph, a, r: int, cap: int | None = None) -> int:
-    """Number of distinct radius-r projection profiles on A, outside A."""
+    """Number of distinct radius-r projection profiles on A, outside A;
+    one A-avoiding radius-r BFS per target."""
     targets = frozenset(a)
-    outside = (v for v in range(g.n) if v not in targets)
-    return _count_distinct((_entries(bounded_bfs(g, v, r, targets), targets) for v in outside), cap)
+    traces = target_traces(g, targets, r, distances=True, avoiding=True)
+    return _count_distinct((traces[v] for v in range(g.n) if v not in targets), cap)
 
 
 def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:

@@ -8,11 +8,12 @@ many hub vertices the closure absorbs, depends on the instance.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 from .graphs import Graph, _walk_back, bounded_bfs, greedy_scattered
-from .profiles import projection
+from .profiles import projection, target_traces
 
 
 @dataclass(frozen=True)
@@ -95,27 +96,35 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     While some u outside Y has a radius-r projection of size at least t,
     the u with the largest projection (lowest id on ties) becomes a hub
     and joins Y. Terminates because Y only grows; worst case Y = V.
+
+    The starting sizes come from one Y-avoiding BFS per member of X
+    (:func:`target_traces`). A hub h can change only the projections of
+    the vertices that reach h by a Y-avoiding path of length at most r,
+    so after each pick only the vertices of ``bounded_bfs(g, h, r, Y)``
+    are recounted; a heap of (-size, id) entries, stale ones skipped,
+    yields the next pick.
     """
     if t < 2:
         raise ValueError("closure threshold must be at least 2")
     y = frozenset(x)
-    for v in y:
-        if not 0 <= v < g.n:
-            raise IndexError(f"vertex {v} out of range for n={g.n}")
+    sizes = [len(trace) for trace in target_traces(g, y, r, avoiding=True)]
+    heap = [(-size, u) for u, size in enumerate(sizes) if size >= t and u not in y]
+    heapq.heapify(heap)
     added = []
-    while True:
-        pick = -1
-        pick_size = 0
-        for u in range(g.n):
+    while heap:
+        neg_size, hub = heapq.heappop(heap)
+        if hub in y or sizes[hub] != -neg_size:
+            continue
+        y |= {hub}
+        added.append(hub)
+        for u in bounded_bfs(g, hub, r, y):
             if u in y:
                 continue
             size = len(projection(g, u, y, r))
-            if size >= t and size > pick_size:
-                pick, pick_size = u, size
-        if pick < 0:
-            break
-        y |= {pick}
-        added.append(pick)
+            if size != sizes[u]:
+                sizes[u] = size
+                if size >= t:
+                    heapq.heappush(heap, (-size, u))
     return ClosureResult(y, tuple(added))
 
 

@@ -88,6 +88,57 @@ def brute_projection_profile(g: Graph, u: int, a, r: int) -> dict[int, int]:
     return best
 
 
+def brute_counters(g: Graph, a, r: int) -> dict[str, int]:
+    """nu, nu_hat, mu and mu_hat by their definitions, one vertex at a time:
+    plain distances from the distance matrix, A-avoiding ones from path
+    enumeration."""
+    dist = floyd_warshall(g)
+    targets = sorted(set(a))
+    balls, dist_profiles, projections, proj_profiles = set(), set(), set(), set()
+    for v in range(g.n):
+        near = tuple((t, int(dist[v][t])) for t in targets if dist[v][t] <= r)
+        balls.add(frozenset(t for t, _ in near))
+        dist_profiles.add(near)
+        if v in targets:
+            continue
+        prof = brute_projection_profile(g, v, targets, r)
+        projections.add(frozenset(prof))
+        proj_profiles.add(frozenset(prof.items()))
+    return {
+        "nu": len(balls),
+        "nu_hat": len(dist_profiles),
+        "mu": len(projections),
+        "mu_hat": len(proj_profiles),
+    }
+
+
+def brute_r_closure(g: Graph, x, r: int, t: int) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The r-closure by its definition: each round recomputes every outside
+    vertex's projection by path enumeration and adds the one with the
+    largest (at least t), lowest id on ties. Returns (closure, added)."""
+    y = set(x)
+    added = []
+    while True:
+        sizes = {u: len(brute_projection_profile(g, u, y, r)) for u in range(g.n) if u not in y}
+        best = max(sizes.values(), default=0)
+        if best < t:
+            return frozenset(y), tuple(added)
+        pick = min(u for u, size in sizes.items() if size == best)
+        y.add(pick)
+        added.append(pick)
+
+
+def linked_stars(centers, leaves):
+    """Stars on the centers 0..centers-1, each center joined by a 2-edge
+    path to one last vertex. That vertex reaches every center by an
+    avoiding path, so the 3r-closure of a dominator grows past it."""
+    n = centers * (leaves + 2) + 1
+    edges = [(c, centers + c * leaves + i) for c in range(centers) for i in range(leaves)]
+    links = range(centers * (leaves + 1), n - 1)
+    edges += [(c, a) for c, a in zip(range(centers), links)] + [(a, n - 1) for a in links]
+    return Graph(n, edges)
+
+
 def brute_short_paths_closure(g: Graph, x, r: int) -> set[int]:
     """The all-pairs definition of the short-paths closure: for every pair
     u < v of X at distance at most r, add the shortest path whose every

@@ -2,7 +2,8 @@ import pytest
 
 from rdomkernel.bench import CSV_HEADER, format_row, parse_plan, run_bench
 from rdomkernel.cli import main
-from rdomkernel.graphs import ParseError, load_edge_list
+from rdomkernel.graphs import ParseError, bfs_within, load_edge_list
+from rdomkernel.profiles import SetFamily, vc_dimension
 
 SPIDER_PLAN = """\
 # three spider runs
@@ -109,6 +110,29 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "graph,n,m,a,r,metric,value"
         assert out[1].endswith("nu,8")
+
+    def test_vc_matches_per_vertex_traces(self, tmp_path, capsys):
+        graph_file = tmp_path / "g.edges"
+        set_file = tmp_path / "a.txt"
+        specs = (
+            ["subset_gadget", "--a", "4"],
+            ["grid", "--w", "6", "--h", "5"],
+            ["random_bounded_degree", "--n", "40", "--d", "3"],
+            ["random_tree", "--n", "40"],
+        )
+        for spec in specs:
+            assert main(["gen", *spec, "--out", str(graph_file)]) == 0
+            g = load_edge_list(graph_file.read_text())
+            a = set(range(0, g.n, 3))
+            set_file.write_text(" ".join(map(str, sorted(a))))
+            for r in (1, 2):
+                index = {v: i for i, v in enumerate(sorted(a))}
+                traces = {frozenset(index[x] for x in a & bfs_within(g, v, r).keys()) for v in range(g.n)}
+                expected = vc_dimension(SetFamily.from_sets(len(a), traces), cap=8)
+                assert main(["complexity", "--graph", str(graph_file), "--r", str(r),
+                             "--set", str(set_file), "--metric", "vc"]) == 0
+                out = capsys.readouterr().out.splitlines()
+                assert out[1].endswith(f",vc,{expected}"), (spec, r)
 
     def test_wcol_csv(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.edges"

@@ -124,6 +124,16 @@ class TestBoundedBfs:
                 expected[p[-1]] = min(expected.get(p[-1], r), len(p) - 1)
             assert bounded_bfs(g, u, r, stop) == expected
 
+    def test_source_in_stop_is_expanded(self):
+        assert bounded_bfs(path(5), 2, 4, {1, 2, 3}) == {2: 0, 1: 1, 3: 1}
+        rng = random.Random(22)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 9), rng.random())
+            u = rng.randrange(g.n)
+            stop = {v for v in range(g.n) if rng.random() < 0.3}
+            r = rng.randint(0, 4)
+            assert bounded_bfs(g, u, r, stop | {u}) == bounded_bfs(g, u, r, stop - {u})
+
 
 class TestBall:
     def test_star(self):

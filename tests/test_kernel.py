@@ -3,7 +3,7 @@ import random
 from rdomkernel import kernel
 from rdomkernel.domset import DominationInstance, enumerate_min_dominators, exact_min_dominator, is_dominator
 from rdomkernel.generators import cycle_graph, path_graph, spider_graph, star_graph
-from rdomkernel.graphs import Graph, induced_subgraph, is_r_independent
+from rdomkernel.graphs import induced_subgraph, is_r_independent
 from rdomkernel.kernel import (
     CoreState,
     annotate_to_plain,
@@ -15,7 +15,13 @@ from rdomkernel.kernel import (
 from rdomkernel.profiles import distance_profile, projection, projection_profile
 from rdomkernel.sparsity import default_closure_threshold
 
-from .oracles import brute_dominates, floyd_warshall, one_removal_per_analysis_core, random_sparse_graph
+from .oracles import (
+    brute_dominates,
+    floyd_warshall,
+    linked_stars,
+    one_removal_per_analysis_core,
+    random_sparse_graph,
+)
 
 
 def full_instance(g, r, k=0):
@@ -55,17 +61,6 @@ def check_trace_step(g, r, step, checked_closures):
         outside = (u for u in range(g.n) if u not in step.closure)
         assert all(len(projection(g, u, step.closure, 3 * r)) < t for u in outside)
         checked_closures.add(step.closure)
-
-
-def linked_stars(centers, leaves):
-    """Stars on the centers 0..centers-1, each center joined by a 2-edge
-    path to one last vertex. That vertex reaches every center by an
-    avoiding path, so the 3r-closure of a dominator grows past it."""
-    n = centers * (leaves + 2) + 1
-    edges = [(c, centers + c * leaves + i) for c in range(centers) for i in range(leaves)]
-    links = range(centers * (leaves + 1), n - 1)
-    edges += [(c, a) for c, a in zip(range(centers), links)] + [(a, n - 1) for a in links]
-    return Graph(n, edges)
 
 
 class TestFindRedundantVertex:

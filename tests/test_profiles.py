@@ -22,11 +22,15 @@ from rdomkernel.profiles import (
 )
 
 from .oracles import (
+    brute_counters,
     brute_projection_profile,
     brute_vc_dimension,
     random_graph,
     random_sparse_graph,
+    tie_heavy_graphs,
 )
+
+COUNTERS = {"nu": nu_r, "nu_hat": nu_hat_r, "mu": mu_r, "mu_hat": mu_hat_r}
 
 
 def path(n):
@@ -172,6 +176,32 @@ class TestCounters:
             r = rng.randint(1, 3)
             assert nu_r(g, a, r) <= nu_hat_r(g, a, r)
             assert mu_r(g, a, r) <= mu_hat_r(g, a, r)
+
+    def test_out_of_range_target_raises(self):
+        # a target of -1 must not stand for vertex n-1
+        for counter in COUNTERS.values():
+            for bad in (-1, 3):
+                with pytest.raises(IndexError):
+                    counter(path(3), {0, bad}, 1)
+
+    def test_negative_radius_raises(self):
+        for counter in COUNTERS.values():
+            with pytest.raises(ValueError):
+                counter(path(3), {0}, -1)
+
+    def test_match_definitions_on_tie_heavy_graphs(self):
+        rng = random.Random(10)
+        for g in tie_heavy_graphs(rng, 40, 12, 4):
+            some = {v for v in range(g.n) if rng.random() < 0.4}
+            for a in (set(), some, set(range(g.n))):
+                for r in range(4):
+                    expected = brute_counters(g, a, r)
+                    for name, counter in COUNTERS.items():
+                        count = expected[name]
+                        assert counter(g, a, r) == count, (name, g, a, r)
+                        assert counter(g, a, r, cap=count) == count
+                        with pytest.raises(SizeCapError):
+                            counter(g, a, r, cap=count - 1)
 
 
 class TestLayeredGraph:

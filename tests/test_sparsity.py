@@ -3,7 +3,7 @@ import random
 import pytest
 
 import rdomkernel.sparsity
-from rdomkernel.generators import grid_graph, star_graph
+from rdomkernel.generators import grid_graph, random_bounded_degree_graph, star_graph
 from rdomkernel.graphs import Graph, bfs_within, induced_subgraph, is_r_independent
 from rdomkernel.profiles import projection
 from rdomkernel.sparsity import (
@@ -13,7 +13,13 @@ from rdomkernel.sparsity import (
     short_paths_closure,
 )
 
-from .oracles import brute_short_paths_closure, floyd_warshall, random_sparse_graph
+from .oracles import (
+    brute_r_closure,
+    brute_short_paths_closure,
+    floyd_warshall,
+    linked_stars,
+    random_sparse_graph,
+)
 
 
 def path(n):
@@ -124,6 +130,27 @@ class TestRClosure:
             t1 = rng.randint(2, 4)
             t2 = t1 + rng.randint(1, 3)
             assert r_closure(g, x, r, t2).closure <= r_closure(g, x, r, t1).closure
+
+    def test_matches_recount_every_round_oracle(self):
+        # inputs that gain hubs, so the local recount after each pick is
+        # what decides the later picks
+        rng = random.Random(35)
+        cases = []
+        for centers, leaves, r in ((6, 6, 3), (7, 6, 6)):
+            g = linked_stars(centers, leaves)
+            cases.append((g, set(range(centers)), r, default_closure_threshold(g)))
+        for side, r in ((12, 2), (12, 3), (10, 4), (8, 5), (8, 6)):
+            g = grid_graph(side, rng.randint(side - 2, side))
+            cases.append((g, {v for v in range(g.n) if rng.random() < 0.15}, r, rng.randint(2, 4)))
+        for _ in range(6):
+            g = random_bounded_degree_graph(rng.randint(20, 60), 3, rng.randrange(1 << 30))
+            cases.append((g, {v for v in range(g.n) if rng.random() < 0.15}, rng.randint(2, 4), rng.randint(2, 4)))
+        gained = 0
+        for g, x, r, t in cases:
+            result = r_closure(g, x, r, t)
+            assert (result.closure, result.added) == brute_r_closure(g, x, r, t)
+            gained += bool(result.added)
+        assert gained >= len(cases) - 2
 
     def test_default_threshold_tracks_density(self):
         assert default_closure_threshold(Graph(3)) == 4
