@@ -16,6 +16,14 @@ certifies a whole batch: every member of the exchange class beyond
 |buy| + 1 is redundant, so phase one removes them all before analysing
 again. Each removal still keeps its own recorded step, and the rejection
 route is checked once per analysis.
+
+Phase one searches every vertex's r-ball once per run, and only if it
+reaches an analysis: the balls are kept as bitmasks
+(:func:`~rdomkernel.domset.ball_masks`), and each analysis reads the
+dominator's coverage off them by masking with the current core. Beyond
+that, an analysis costs one closure-avoiding radius-3r search per member
+of the closure (projection classes), the scattered-set extraction on the
+largest class, and one radius-r search per extracted vertex.
 """
 
 from __future__ import annotations
@@ -25,13 +33,14 @@ from dataclasses import dataclass, field, replace
 
 from .domset import (
     DominationInstance,
+    ball_masks,
     bg_approx_dominator,
     enumerate_min_dominators,
     greedy_scattered_lower_bound,
     is_dominator,
 )
 from .graphs import Graph, SubgraphMap, induced_subgraph
-from .profiles import distance_profile, projection_profile
+from .profiles import distance_profile, projection_profile, target_traces
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure, short_paths_closure
 
 
@@ -92,7 +101,12 @@ def _largest_class(groups: dict) -> tuple[tuple, list[int]]:
     return max(groups.items(), key=lambda item: (len(item[1]), -min(item[1])))
 
 
-def find_redundant_vertex(state: CoreState, *, witness: frozenset[int] | None = None) -> RemovalStep | None:
+def find_redundant_vertex(
+    state: CoreState,
+    *,
+    witness: frozenset[int] | None = None,
+    balls: list[int] | None = None,
+) -> RemovalStep | None:
     """Locate one dominatee whose removal keeps the core property, with its
     justification record; the caller applies the removal.
 
@@ -105,21 +119,27 @@ def find_redundant_vertex(state: CoreState, *, witness: frozenset[int] | None = 
     is the removed vertex's projection onto the closure plus the separator.
     Absence means nothing removable at current sizes, not an error.
     ``witness``, when given, is the scattered lower bound of the current
-    core, handed to the dominator so that it is not computed again.
+    core, and ``balls``, when given, is ``ball_masks(g, r)``; both are
+    handed to the dominator so that neither is computed again, and the
+    result is the same without them. The projection classes come from the
+    closure's side: one closure-avoiding radius-3r search per closure
+    member (:func:`target_traces`), not one search per outside vertex.
     """
     inst = state.inst
     g, r = inst.g, inst.r
     z = frozenset(state.z)
     if not z:
         return None
-    x = bg_approx_dominator(replace(inst, z=z), witness=witness).dominator
+    x = bg_approx_dominator(replace(inst, z=z), witness=witness, balls=balls).dominator
     x_cl = r_closure(g, x, 3 * r, default_closure_threshold(g)).closure
     outside = [u for u in sorted(z) if u not in x_cl]
     if not outside:
         return None
+    # for u outside x_cl its trace is projection_profile(g, u, x_cl, 3r).entries
+    traces = target_traces(g, x_cl, 3 * r, distances=True, avoiding=True)
     classes: dict[tuple, list[int]] = {}
     for u in outside:
-        classes.setdefault(projection_profile(g, u, x_cl, 3 * r).entries, []).append(u)
+        classes.setdefault(traces[u], []).append(u)
     kappa_key, kappa = _largest_class(classes)
     # kappa is non-empty, so the first round already scatters one vertex
     qw = quasi_wide_extract(g, kappa, 2 * r, m=len(kappa))
@@ -185,6 +205,12 @@ def find_core(
     reached. With ``verify`` every removal is re-checked against the
     enumeration oracle (instances up to :data:`VERIFY_CAP` vertices only);
     state.verify records whether the oracle ran or was skipped.
+
+    Computed once per call: ``ball_masks(g, r)``, built just before the
+    first analysis (a run that stops at the target or on rejection builds
+    none) and handed to every :func:`find_redundant_vertex` call. Each
+    round costs the scattered lower bound of the current core plus one
+    analysis; the outputs are the same as without the masks.
     """
     g, r, k = inst.g, inst.r, inst.k
     if target is None:
@@ -193,6 +219,7 @@ def find_core(
     state = CoreState(inst, z)
     if verify:
         state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
+    balls = None  # ball_masks(g, r), built before the first analysis
     while True:
         witness = greedy_scattered_lower_bound(replace(inst, z=frozenset(z)))
         if len(witness) > k:
@@ -200,7 +227,9 @@ def find_core(
             return state
         if len(z) <= target:
             return state
-        step = find_redundant_vertex(state, witness=witness)
+        if balls is None:
+            balls = ball_masks(g, r)
+        step = find_redundant_vertex(state, witness=witness, balls=balls)
         if step is None:
             return state
         members = sorted(step.exchange_class)
@@ -210,7 +239,18 @@ def find_core(
             if len(z) <= target:
                 break
             z.discard(members[i])
-            state.trace.append(replace(step, removed=members[i], exchange_class=frozenset(members[i:])))
+            state.trace.append(
+                RemovalStep(
+                    removed=members[i],
+                    dominator=step.dominator,
+                    closure=step.closure,
+                    profile_class=step.profile_class,
+                    class_count=step.class_count,
+                    separator=step.separator,
+                    exchange_class=frozenset(members[i:]),
+                    buy=step.buy,
+                )
+            )
             if state.verify == "oracle":
                 _verify_core_after_removal(g, frozenset(z), r)
 
@@ -300,6 +340,8 @@ def annotate_to_plain(g_prime: Graph, z, r: int) -> Graph:
     interior chain, then w' = n + r, then each outside chain in ascending
     order of its anchor.
     """
+    if r < 1:
+        raise ValueError(f"gadget radius must be at least 1, got {r}")
     zf = frozenset(z)
     for v in zf:
         if not 0 <= v < g_prime.n:

@@ -49,6 +49,11 @@ class Ordering:
         return len(self.position)
 
 
+def _check_radius(r: int):
+    if r < 0:
+        raise ValueError(f"radius must be non-negative, got {r}")
+
+
 def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
     """Exact weak-r-reachability set of v under the given order.
 
@@ -56,6 +61,7 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
     on the best walk-minimum seen; a state is re-expanded only when its
     path minimum strictly improves. Exponential in r only.
     """
+    _check_radius(r)
     pos = order.position
     found = {v}
     best: dict[tuple[int, int], int] = {(v, r): pos[v]}
@@ -84,6 +90,7 @@ def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:
     vertices already swept (ranked below u) reaches, among the others,
     exactly the vertices that weakly r-reach u; one BFS per vertex total.
     """
+    _check_radius(r)
     result: list[set[int]] = [set() for _ in range(g.n)]
     lower: set[int] = set()
     for u in order.sequence():
@@ -96,6 +103,7 @@ def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:
 
 def wcol_of_order(g: Graph, order: Ordering, r: int) -> int:
     """Largest weak-r-reachability set size under a fixed order."""
+    _check_radius(r)
     if g.n == 0:
         return 0
     return max(len(s) for s in wreach_all(g, order, r))
@@ -142,6 +150,7 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
     known value is dead. Factorial worst case, guarded by ``cap``. The
     witness is the lexicographically first optimal order sequence.
     """
+    _check_radius(r)
     if g.n > cap:
         raise SizeCapError(f"wcol_exact limited to n <= {cap}, got n={g.n}")
     n = g.n

@@ -49,6 +49,8 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
     for v in targets:
         if not 0 <= v < g.n:
             raise IndexError(f"vertex {v} out of range for n={g.n}")
+    if r < 0:
+        raise ValueError(f"radius must be non-negative, got {r}")
     if m < 1:
         raise ValueError("target size must be at least 1")
     if s_max is None:
@@ -137,7 +139,8 @@ def short_paths_closure(g: Graph, x, r: int) -> set[int]:
     neighbor one level closer); induced distances can only shrink to the
     true value, never below it. Each member's r-ball is searched once and
     only its members of X are paired, so the cost is O(sum of |N_r[u]|
-    over u in X) plus the walk-backs.
+    over u in X) plus the walk-backs. When X is all of V nothing can be
+    added, and no ball is searched.
     """
     members = set(x)
     if members:
@@ -146,6 +149,8 @@ def short_paths_closure(g: Graph, x, r: int) -> set[int]:
             raise IndexError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
         if r < 0:
             raise ValueError("radius must be non-negative")
+    if len(members) == g.n:
+        return members
     closed = set(members)
     for u in members:
         dist = bounded_bfs(g, u, r)

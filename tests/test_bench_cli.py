@@ -265,6 +265,21 @@ class TestCli:
         assert main(["solve", "--graph", str(big), "--r", "1", "--method", "exact"]) == 3
         assert main(["wcol", "--graph", str(big), "--r", "1", "--exact"]) == 3
 
+    def test_bad_radius_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.edges"
+        assert main(["gen", "grid", "--w", "5", "--h", "5", "--out", str(grid)]) == 0
+        for argv, message in (
+            (["wcol", "--r", "-1"], "radius must be non-negative, got -1"),
+            (["wcol", "--r", "-1", "--exact"], "radius must be non-negative, got -1"),
+            (["qw", "--r", "-1", "--set", "random:10:1", "--m", "2"], "radius must be non-negative, got -1"),
+            (["gadget", "--r", "0", "--z", "all"], "gadget radius must be at least 1, got 0"),
+            (["gadget", "--r", "-1", "--z", "all"], "gadget radius must be at least 1, got -1"),
+        ):
+            assert main([argv[0], "--graph", str(grid), *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {message}\n"
+
     def test_vertex_cap_stops_oversized_input(self, tmp_path, capsys):
         # each of these would allocate billions of vertices without the cap
         header = tmp_path / "header.edges"

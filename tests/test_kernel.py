@@ -1,8 +1,16 @@
 import random
 
+import pytest
+
 from rdomkernel import kernel
-from rdomkernel.domset import DominationInstance, enumerate_min_dominators, exact_min_dominator, is_dominator
-from rdomkernel.generators import cycle_graph, path_graph, spider_graph, star_graph
+from rdomkernel.domset import (
+    DominationInstance,
+    ball_masks,
+    enumerate_min_dominators,
+    exact_min_dominator,
+    is_dominator,
+)
+from rdomkernel.generators import cycle_graph, grid_graph, path_graph, spider_graph, star_graph
 from rdomkernel.graphs import induced_subgraph, is_r_independent
 from rdomkernel.kernel import (
     CoreState,
@@ -195,6 +203,70 @@ class TestBatchedRemovals:
         assert removals >= 500, removals
 
 
+class TestAmortisedAnalysis:
+    def replay_cases(self):
+        rng = random.Random(64)
+        cases = [(star_graph(m), r) for m in range(2, 40, 6) for r in (1, 2, 3)]
+        cases += [(spider_graph(legs, 2), r) for legs in range(2, 14, 3) for r in (1, 2, 3)]
+        cases += [(linked_stars(6, 6), 1), (linked_stars(7, 6), 2)]
+        cases += [(random_sparse_graph(rng, rng.randint(4, 24)), rng.randint(1, 3)) for _ in range(60)]
+        return cases
+
+    def test_closure_side_classes_match_per_vertex_profiles(self, monkeypatch):
+        traced = kernel.target_traces
+        calls = []
+
+        def checking(g, a, r, **kwargs):
+            traces = traced(g, a, r, **kwargs)
+            calls.append(1)
+            for u in range(g.n):
+                if u not in a:
+                    assert traces[u] == projection_profile(g, u, a, r).entries
+            return traces
+
+        def per_vertex(g, a, r, **kwargs):
+            return [() if u in a else projection_profile(g, u, a, r).entries for u in range(g.n)]
+
+        removals = 0
+        for g, r in self.replay_cases():
+            inst = full_instance(g, r, k=g.n)
+            monkeypatch.setattr(kernel, "target_traces", checking)
+            state = find_core(inst, target=0)
+            monkeypatch.setattr(kernel, "target_traces", per_vertex)
+            assert find_core(inst, target=0).trace == state.trace
+            # without cached masks the dominator searches the balls itself
+            monkeypatch.setattr(kernel, "ball_masks", lambda g, r: None)
+            assert find_core(inst, target=0).trace == state.trace
+            monkeypatch.undo()
+            removals += len(state.trace)
+        assert removals >= 300, removals
+        assert len(calls) >= 100, len(calls)
+
+    def test_masks_built_at_most_once_per_call(self, monkeypatch):
+        built = []
+
+        def counting(g, r):
+            built.append((g, r))
+            return ball_masks(g, r)
+
+        monkeypatch.setattr(kernel, "ball_masks", counting)
+        for g, r in [(star_graph(50), 1), (spider_graph(30, 2), 2), (linked_stars(7, 6), 2)]:
+            built.clear()
+            state = find_core(full_instance(g, r, k=g.n), target=0)
+            assert len(state.trace) > 0
+            assert built == [(g, r)]
+        # the default target stops this run before its first analysis
+        built.clear()
+        g = grid_graph(10, 10)
+        state = find_core(full_instance(g, 1, k=20))
+        assert state.rejection is None and state.trace == []
+        assert built == []
+        # so does a rejection
+        state = find_core(full_instance(g, 1, k=1), target=0)
+        assert state.rejection is not None
+        assert built == []
+
+
 class TestBuildKernelFromCore:
     def test_star_collapses_leaf_classes(self):
         g = star_graph(100)
@@ -317,6 +389,11 @@ class TestAnnotateToPlain:
         z = {0, 1}
         plain = annotate_to_plain(g, z, 2)
         assert plain.n == g.n + 1 + 1 + (g.n - len(z)) * 1 + 1
+
+    def test_rejects_radius_below_one(self):
+        for r in (0, -1):
+            with pytest.raises(ValueError, match=f"radius must be at least 1, got {r}"):
+                annotate_to_plain(path_graph(3), {0}, r)
 
     def test_duality_fuzz(self):
         rng = random.Random(52)

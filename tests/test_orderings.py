@@ -35,6 +35,23 @@ class TestOrdering:
             Ordering((0, 0, 1))
 
 
+class TestNegativeRadius:
+    def test_every_entry_point_rejects_it(self):
+        g = grid_graph(5, 5)
+        order = degeneracy_order(g)
+        small = path(3)
+        for call in (
+            lambda: wreach(g, order, 0, -1),
+            lambda: wreach_all(g, order, -1),
+            lambda: wcol_of_order(g, order, -1),
+            lambda: wcol_of_order(Graph(0), Ordering(()), -1),
+            lambda: wcol_exact(small, -1),
+            lambda: wcol_exact(Graph(0), -1),
+        ):
+            with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+                call()
+
+
 class TestWreach:
     def test_p3_identity_order(self):
         assert wreach(path(3), Ordering.from_sequence([0, 1, 2]), 2, 2) == {0, 1, 2}

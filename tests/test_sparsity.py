@@ -38,6 +38,10 @@ def scattered_in_deleted_graph(g, result, r):
 
 
 class TestQuasiWideExtract:
+    def test_rejects_negative_radius(self):
+        with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+            quasi_wide_extract(grid_graph(5, 5), range(25), -1, 1)
+
     def test_star_separates_center(self):
         g = star_graph(10)
         leaves = set(range(1, 11))
@@ -222,3 +226,26 @@ class TestShortPathsClosure:
         g = grid_graph(30, 30)
         assert short_paths_closure(g, range(g.n), 2) == set(range(g.n))
         assert calls == []
+
+    def test_whole_vertex_set_searches_no_ball(self, monkeypatch):
+        calls = []
+        bfs = rdomkernel.sparsity.bounded_bfs
+
+        def counting(*args):
+            calls.append(args)
+            return bfs(*args)
+
+        monkeypatch.setattr(rdomkernel.sparsity, "bounded_bfs", counting)
+        rng = random.Random(65)
+        graphs = [grid_graph(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(10)]
+        graphs += [random_sparse_graph(rng, rng.randint(1, 20)) for _ in range(10)]
+        for g in graphs:
+            for r in (0, 1, 2, 3):
+                calls.clear()
+                closed = short_paths_closure(g, range(g.n), r)
+                assert calls == []
+                assert closed == brute_short_paths_closure(g, range(g.n), r)
+                if g.n > 1:
+                    # one vertex short of V, every member's ball is searched
+                    short_paths_closure(g, range(1, g.n), r)
+                    assert len(calls) == g.n - 1
