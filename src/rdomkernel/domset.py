@@ -6,8 +6,6 @@ trusted oracles the pipeline is verified against; both carry hard size
 caps and refuse larger instances rather than approximate silently. The
 approximation is the deterministic greedy cover (lowest id on ties), valid
 by construction; ``bg_approx_dominator`` is kept as an alias of it.
-:func:`ball_masks` hands a caller that covers one shrinking dominatee set
-again and again every r-ball as a bitmask, searched once.
 """
 
 from __future__ import annotations
@@ -81,24 +79,8 @@ def _coverage(inst: DominationInstance):
     return zs, cover
 
 
-def ball_masks(g: Graph, r: int) -> list[int]:
-    """Every vertex's closed r-ball as a bitmask by vertex id: bit y of
-    entry x is set iff dist(x, y) <= r. One :func:`bounded_bfs` per vertex.
-    With ``zmask`` the mask of a dominatee set Z, ``balls[x] & zmask`` is
-    x's coverage of Z, so a caller that shrinks Z keeps the masks and
-    pays for them once."""
-    balls = []
-    for x in range(g.n):
-        mask = 0
-        for y in bounded_bfs(g, x, r):
-            mask |= 1 << y
-        balls.append(mask)
-    return balls
-
-
 def _greedy_cover(cover, full: int) -> list[int]:
-    """Greedy set cover of the bits of ``full`` by the masks in ``cover``
-    (bits outside ``full`` are ignored), lowest id on ties.
+    """Greedy set cover over the coverage masks, lowest id on ties.
 
     Lazy greedy (Minoux, 1978) on a heap keyed ``(-gain, id)``: a popped
     vertex's gain is recomputed and it is taken only when its fresh key
@@ -107,10 +89,9 @@ def _greedy_cover(cover, full: int) -> list[int]:
     true key from below and the taken vertex has the largest gain, lowest
     id on ties: the same pick as a scan over all n masks. Each pop costs
     one mask count and O(log n) heap steps, and a vertex is popped again
-    only after its gain has fallen. A gain is a popcount, so which bit
-    stands for which dominatee does not change any pick.
+    only after its gain has fallen.
     """
-    heap = [(-gain, v) for v, c in enumerate(cover) if (gain := (c & full).bit_count())]
+    heap = [(-c.bit_count(), v) for v, c in enumerate(cover) if c]
     heapq.heapify(heap)
     chosen = []
     uncovered = full
@@ -129,28 +110,19 @@ def greedy_dominator(
     inst: DominationInstance,
     *,
     witness: frozenset[int] | None = None,
-    balls: list[int] | None = None,
 ) -> DominatorResult:
     """Greedy cover: repeatedly take the vertex whose r-ball covers the most
     uncovered dominatees, lowest id on ties. Valid by construction, within
     the harmonic factor of optimal; ``optimal`` is set when the size meets
     the scattered lower bound, which a caller that already holds
-    ``greedy_scattered_lower_bound(inst)`` passes as ``witness``. A caller
-    that already holds ``ball_masks(inst.g, inst.r)`` passes it as
-    ``balls``, and the r-balls are not searched again. The result is the
-    same with or without either. ``bg_approx_dominator`` is an alias."""
+    ``greedy_scattered_lower_bound(inst)`` passes as ``witness``; the
+    result is the same without it. ``bg_approx_dominator`` is an alias."""
     if witness is None:
         witness = greedy_scattered_lower_bound(inst)
     if not inst.z:
         return DominatorResult(frozenset(), True, witness)
-    if balls is None:
-        zs, cover = _coverage(inst)
-        chosen = _greedy_cover(cover, (1 << len(zs)) - 1)
-    else:
-        zmask = 0
-        for v in inst.z:
-            zmask |= 1 << v
-        chosen = _greedy_cover(balls, zmask)
+    zs, cover = _coverage(inst)
+    chosen = _greedy_cover(cover, (1 << len(zs)) - 1)
     return DominatorResult(frozenset(chosen), len(chosen) == len(witness), witness)
 
 

@@ -12,18 +12,16 @@ Every removal decision is justified by a concrete recorded witness
 (approximate dominator, its closure, the profile class, separator, and
 exchange class) whose defining inequality can be re-checked after the
 fact; nothing relies on unverifiable size bounds. One exchange analysis
-certifies a whole batch: every member of the exchange class beyond
-|buy| + 1 is redundant, so phase one removes them all before analysing
-again. Each removal still keeps its own recorded step, and the rejection
-route is checked once per analysis.
+certifies a batch from every projection class: the classes depend on the
+dominator alone, so each one that passes the exchange test loses every
+member of its exchange class beyond |buy| + 1, and phase one removes them
+all before analysing again. Each removal still keeps its own recorded
+step, and the rejection route is checked once per analysis.
 
-Phase one searches every vertex's r-ball once per run, and only if it
-reaches an analysis: the balls are kept as bitmasks
-(:func:`~rdomkernel.domset.ball_masks`), and each analysis reads the
-dominator's coverage off them by masking with the current core. Beyond
-that, an analysis costs one closure-avoiding radius-3r search per member
-of the closure (projection classes), the scattered-set extraction on the
-largest class, and one radius-r search per extracted vertex.
+An analysis costs one radius-r search per dominatee (the dominator's
+coverage), one closure-avoiding radius-3r search per member of the
+closure (projection classes), and, per class large enough to pass, the
+scattered-set extraction and one radius-r search per extracted vertex.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 from .domset import (
     DominationInstance,
-    ball_masks,
     bg_approx_dominator,
     enumerate_min_dominators,
     greedy_scattered_lower_bound,
@@ -105,32 +102,32 @@ def find_redundant_vertex(
     state: CoreState,
     *,
     witness: frozenset[int] | None = None,
-    balls: list[int] | None = None,
-) -> RemovalStep | None:
-    """Locate one dominatee whose removal keeps the core property, with its
-    justification record; the caller applies the removal.
+) -> tuple[RemovalStep, ...] | None:
+    """One exchange analysis of the current core: a step, with its
+    justification record, for every projection class it certifies, or
+    ``None`` when it certifies none. The caller applies the removals.
 
     Pipeline: approximate a dominator X of the current core, close it at
-    triple radius at :func:`default_closure_threshold`, split the core
-    outside the closure by projection profile, extract a
-    scattered-behind-a-separator subset of the largest class, split that by
-    distance profile on the separator, and test the exchange inequality
-    |R| >= |buy| + 2 on the largest piece, where buy (recorded in the step)
-    is the removed vertex's projection onto the closure plus the separator.
-    Absence means nothing removable at current sizes, not an error.
-    ``witness``, when given, is the scattered lower bound of the current
-    core, and ``balls``, when given, is ``ball_masks(g, r)``; both are
-    handed to the dominator so that neither is computed again, and the
-    result is the same without them. The projection classes come from the
-    closure's side: one closure-avoiding radius-3r search per closure
-    member (:func:`target_traces`), not one search per outside vertex.
+    triple radius at :func:`default_closure_threshold`, and class the core
+    outside the closure by projection profile, from the closure's side
+    (:func:`target_traces`). Each class with at least |key| + 2 members,
+    largest first (ties to the class holding the smallest vertex), goes
+    through the scattered-behind-a-separator extraction, and the largest
+    piece R of its split by distance profile on the separator is certified
+    when |R| >= |buy| + 2, where buy (recorded in the step) is the class's
+    projection onto the closure plus the separator. A step names the
+    smallest member of its R. The classes depend on X alone, so removals
+    from one class leave every other class, and X's domination of the
+    core, intact. ``witness``, when given, is the scattered lower bound of
+    the current core, handed to the dominator so that it is not computed
+    again; the result is the same without it.
     """
     inst = state.inst
     g, r = inst.g, inst.r
     z = frozenset(state.z)
     if not z:
         return None
-    x = bg_approx_dominator(replace(inst, z=z), witness=witness, balls=balls).dominator
+    x = bg_approx_dominator(replace(inst, z=z), witness=witness).dominator
     x_cl = r_closure(g, x, 3 * r, default_closure_threshold(g)).closure
     outside = [u for u in sorted(z) if u not in x_cl]
     if not outside:
@@ -140,28 +137,34 @@ def find_redundant_vertex(
     classes: dict[tuple, list[int]] = {}
     for u in outside:
         classes.setdefault(traces[u], []).append(u)
-    kappa_key, kappa = _largest_class(classes)
-    # kappa is non-empty, so the first round already scatters one vertex
-    qw = quasi_wide_extract(g, kappa, 2 * r, m=len(kappa))
-    subclasses: dict[tuple, list[int]] = {}
-    for v in sorted(qw.scattered):
-        subclasses.setdefault(distance_profile(g, v, qw.separator, r).entries, []).append(v)
-    _, exchange = _largest_class(subclasses)
-    zv = min(exchange)
-    # zv lies in kappa, so its projection onto x_cl is the class key's targets
-    buy = frozenset(a for a, _ in kappa_key) | qw.separator
-    if len(exchange) < len(buy) + 2:
-        return None
-    return RemovalStep(
-        removed=zv,
-        dominator=x,
-        closure=x_cl,
-        profile_class=frozenset(kappa),
-        class_count=len(classes),
-        separator=qw.separator,
-        exchange_class=frozenset(exchange),
-        buy=buy,
-    )
+    steps = []
+    # members are ascending, so kappa[0] is a class's smallest vertex
+    for kappa_key, kappa in sorted(classes.items(), key=lambda item: (-len(item[1]), item[1][0])):
+        if len(kappa) < len(kappa_key) + 2:
+            continue
+        # kappa is non-empty, so the first round already scatters one vertex
+        qw = quasi_wide_extract(g, kappa, 2 * r, m=len(kappa))
+        subclasses: dict[tuple, list[int]] = {}
+        for v in sorted(qw.scattered):
+            subclasses.setdefault(distance_profile(g, v, qw.separator, r).entries, []).append(v)
+        _, exchange = _largest_class(subclasses)
+        # every member of kappa projects onto x_cl as the class key says
+        buy = frozenset(a for a, _ in kappa_key) | qw.separator
+        if len(exchange) < len(buy) + 2:
+            continue
+        steps.append(
+            RemovalStep(
+                removed=min(exchange),
+                dominator=x,
+                closure=x_cl,
+                profile_class=frozenset(kappa),
+                class_count=len(classes),
+                separator=qw.separator,
+                exchange_class=frozenset(exchange),
+                buy=buy,
+            )
+        )
+    return tuple(steps) or None
 
 
 def default_core_target(k: int) -> int:
@@ -190,27 +193,21 @@ def find_core(
     Each analysis first checks the rejection route: a scattered witness
     larger than the budget k proves no k-vertex dominator exists and
     short-circuits (state.rejection is set). Otherwise one exchange
-    analysis runs, closing at :func:`default_closure_threshold` of g, and
-    it certifies a batch: the members of its exchange class R are removed
-    in ascending id while the rest of R keeps at least |buy| + 2 members
-    (``step.buy``: the removed vertex's projection onto the closure plus
-    the separator) and the core is above the target. Each removal appends
-    its own :class:`RemovalStep`, whose exchange class is what is left of
-    R. This is sound because X still dominates the smaller core, the
-    closure does not depend on the core, and any subset of R keeps R's
-    projection class, its distance profile on the separator and its
-    scatteredness. The rejection route is checked once per analysis: a
-    scattered witness of a smaller core also certifies the whole instance.
-    The loop stops when an analysis finds nothing or the target size is
-    reached. With ``verify`` every removal is re-checked against the
-    enumeration oracle (instances up to :data:`VERIFY_CAP` vertices only);
-    state.verify records whether the oracle ran or was skipped.
-
-    Computed once per call: ``ball_masks(g, r)``, built just before the
-    first analysis (a run that stops at the target or on rejection builds
-    none) and handed to every :func:`find_redundant_vertex` call. Each
-    round costs the scattered lower bound of the current core plus one
-    analysis; the outputs are the same as without the masks.
+    analysis runs (:func:`find_redundant_vertex`), and each step it returns
+    certifies a batch, applied in step order: the members of the step's
+    exchange class R are removed in ascending id while the rest of R keeps
+    at least |buy| + 2 members (``step.buy``) and the core is above the
+    target. Each removal appends its own :class:`RemovalStep`, whose
+    exchange class is what is left of R. This is sound because X still
+    dominates the smaller core, the closure and the classes do not depend
+    on the core, and any subset of R keeps R's projection class, its
+    distance profile on the separator and its scatteredness. The rejection
+    route is checked once per analysis: a scattered witness of a smaller
+    core also certifies the whole instance. The loop stops when an
+    analysis finds nothing or the target size is reached. With ``verify``
+    every removal is re-checked against the enumeration oracle (instances
+    up to :data:`VERIFY_CAP` vertices only); state.verify records whether
+    the oracle ran or was skipped.
     """
     g, r, k = inst.g, inst.r, inst.k
     if target is None:
@@ -219,7 +216,6 @@ def find_core(
     state = CoreState(inst, z)
     if verify:
         state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
-    balls = None  # ball_masks(g, r), built before the first analysis
     while True:
         witness = greedy_scattered_lower_bound(replace(inst, z=frozenset(z)))
         if len(witness) > k:
@@ -227,32 +223,31 @@ def find_core(
             return state
         if len(z) <= target:
             return state
-        if balls is None:
-            balls = ball_masks(g, r)
-        step = find_redundant_vertex(state, witness=witness, balls=balls)
-        if step is None:
+        steps = find_redundant_vertex(state, witness=witness)
+        if steps is None:
             return state
-        members = sorted(step.exchange_class)
-        # the first pass appends the step itself; each later one the same
-        # certificate over what is left of the exchange class
-        for i in range(len(members) - len(step.buy) - 1):
-            if len(z) <= target:
-                break
-            z.discard(members[i])
-            state.trace.append(
-                RemovalStep(
-                    removed=members[i],
-                    dominator=step.dominator,
-                    closure=step.closure,
-                    profile_class=step.profile_class,
-                    class_count=step.class_count,
-                    separator=step.separator,
-                    exchange_class=frozenset(members[i:]),
-                    buy=step.buy,
+        for step in steps:
+            members = sorted(step.exchange_class)
+            # the first pass appends the step itself; each later one the
+            # same certificate over what is left of the exchange class
+            for i in range(len(members) - len(step.buy) - 1):
+                if len(z) <= target:
+                    break
+                z.discard(members[i])
+                state.trace.append(
+                    RemovalStep(
+                        removed=members[i],
+                        dominator=step.dominator,
+                        closure=step.closure,
+                        profile_class=step.profile_class,
+                        class_count=step.class_count,
+                        separator=step.separator,
+                        exchange_class=frozenset(members[i:]),
+                        buy=step.buy,
+                    )
                 )
-            )
-            if state.verify == "oracle":
-                _verify_core_after_removal(g, frozenset(z), r)
+                if state.verify == "oracle":
+                    _verify_core_after_removal(g, frozenset(z), r)
 
 
 def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:

@@ -206,8 +206,8 @@ def vc_dimension(family: SetFamily, cap: int = 12) -> int:
     search stops there. The empty family shatters nothing, not even the
     empty set, and reports -1.
     """
-    if cap > 12:
-        raise ValueError("vc_dimension search cap limited to 12")
+    if not 0 <= cap <= 12:
+        raise ValueError(f"vc_dimension search cap must be in 0..12, got {cap}")
     members = family.members
     if not members:
         return -1

@@ -42,8 +42,9 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
 
     Greedy loop: build a maximal scattered subset of A - S; while it is too
     small, move the vertex covering most of A - S within radius ceil(r/2)
-    of g - S into the separator and retry. On an exhausted separator budget
-    the result carries the best (S, B) seen and ok=False.
+    of g - S (lowest id on ties; only vertices that near A - S are scored)
+    into the separator and retry. On an exhausted separator budget the
+    result carries the best (S, B) seen and ok=False.
     """
     targets = set(a)
     for v in targets:
@@ -70,18 +71,13 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
             return QwResult(frozenset(separator), frozenset(b), rounds, True)
         if len(separator) >= s_max or len(live) < m:
             return QwResult(frozenset(best_s), frozenset(best_b), rounds, False)
-        score = [0] * g.n
+        # scores over the vertices reached only; every live vertex reaches
+        # itself, so a hub exists
+        score: dict[int, int] = {}
         for v in live:
             for x in bounded_bfs(g, v, half, separator):
-                score[x] += 1
-        # every live vertex scores at least 1 from its own ball, so a hub exists
-        hub = -1
-        hub_score = 0
-        for x in range(g.n):
-            if x in separator:
-                continue
-            if score[x] > hub_score:
-                hub, hub_score = x, score[x]
+                score[x] = score.get(x, 0) + 1
+        hub = min((x for x in score if x not in separator), key=lambda x: (-score[x], x))
         separator.add(hub)
 
 

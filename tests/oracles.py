@@ -128,6 +128,36 @@ def brute_r_closure(g: Graph, x, r: int, t: int) -> tuple[frozenset[int], tuple[
         added.append(pick)
 
 
+def brute_quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None):
+    """The separator loop of ``quasi_wide_extract`` on the distance matrix
+    of g - S, recomputed every round: the scattered set is taken greedily
+    in ascending id, and the next hub is found by scanning every vertex
+    outside S for the most members of A - S within ceil(r/2), lowest id on
+    ties. Returns (separator, scattered, rounds, ok)."""
+    if s_max is None:
+        s_max = 10 * r
+    half = (r + 1) // 2
+    sep: set[int] = set()
+    best_b, best_s = [], set()
+    rounds = 0
+    while True:
+        rounds += 1
+        dist = floyd_warshall(Graph(g.n, [(u, v) for u, v in g.edges() if u not in sep and v not in sep]))
+        live = sorted(set(a) - sep)
+        b = []
+        for v in live:
+            if all(dist[v][w] > r for w in b):
+                b.append(v)
+        if len(b) > len(best_b):
+            best_b, best_s = b, set(sep)
+        if len(b) >= m:
+            return frozenset(sep), frozenset(b), rounds, True
+        if len(sep) >= s_max or len(live) < m:
+            return frozenset(best_s), frozenset(best_b), rounds, False
+        score = [-1 if x in sep else sum(dist[v][x] <= half for v in live) for x in range(g.n)]
+        sep.add(score.index(max(score)))
+
+
 def linked_stars(centers, leaves):
     """Stars on the centers 0..centers-1, each center joined by a 2-edge
     path to one last vertex. That vertex reaches every center by an
@@ -137,6 +167,18 @@ def linked_stars(centers, leaves):
     links = range(centers * (leaves + 1), n - 1)
     edges += [(c, a) for c, a in zip(range(centers), links)] + [(a, n - 1) for a in links]
     return Graph(n, edges)
+
+
+def fan_and_star(path_len, leaves):
+    """A fan, vertex 0 joined to every vertex of the path 1..path_len,
+    beside a star on the center path_len + 1. At r=1 the path is the
+    largest projection class, but its vertices stay close in g minus any
+    small separator, so it fails the exchange test; the star's leaves, a
+    smaller class, pass it."""
+    center = path_len + 1
+    edges = [(0, i) for i in range(1, center)] + [(i, i + 1) for i in range(1, path_len)]
+    edges += [(center, center + j) for j in range(1, leaves + 1)]
+    return Graph(center + leaves + 1, edges)
 
 
 def brute_short_paths_closure(g: Graph, x, r: int) -> set[int]:
@@ -215,18 +257,18 @@ def brute_all_min_dominators(g: Graph, z, r: int) -> list[frozenset[int]]:
 
 def one_removal_per_analysis_core(inst, target: int = 0) -> frozenset[int]:
     """Final core of the unbatched shrinking loop: each exchange analysis
-    removes only the vertex it names, then the analysis runs again. The
-    one exception to this module's rule: it runs the library's
+    removes only the vertex its first step names, then the analysis runs
+    again. The one exception to this module's rule: it runs the library's
     ``find_redundant_vertex``, because what it is the reference for is
     ``find_core``'s batching, not the analysis. It skips the rejection
     route, so give it a budget no scattered witness exceeds (k = n)."""
     z = set(range(inst.g.n))
     state = CoreState(inst, z)
     while len(z) > target:
-        step = find_redundant_vertex(state)
-        if step is None:
+        steps = find_redundant_vertex(state)
+        if steps is None:
             break
-        z.discard(step.removed)
+        z.discard(steps[0].removed)
     return frozenset(z)
 
 

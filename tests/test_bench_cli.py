@@ -134,6 +134,19 @@ class TestCli:
                 out = capsys.readouterr().out.splitlines()
                 assert out[1].endswith(f",vc,{expected}"), (spec, r)
 
+    def test_negative_vc_cap_is_an_input_error(self, tmp_path, capsys):
+        graph_file = tmp_path / "p3.edges"
+        graph_file.write_text("0 1\n1 2\n")
+        set_file = tmp_path / "a.txt"
+        set_file.write_text("0 2\n")
+        argv = ["complexity", "--graph", str(graph_file), "--r", "1", "--set", str(set_file), "--metric", "vc"]
+        assert main([*argv, "--vc-cap", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "vc_dimension search cap" in captured.err
+        assert main([*argv, "--vc-cap", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",vc,1")
+
     def test_wcol_csv(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.edges"
         graph_file.write_text("0 1\n1 2\n")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rdomkernel.domset import (
     DominationInstance,
-    ball_masks,
     bg_approx_dominator,
     enumerate_min_dominators,
     exact_min_dominator,
@@ -246,25 +245,6 @@ class TestBgApproxDominator:
             z = frozenset(v for v in range(g.n) if rng.random() < 0.7) if rng.random() < 0.5 else all_of(g)
             inst = DominationInstance(g, z, rng.randint(1, 3))
             assert greedy_dominator(inst).dominator == brute_greedy_cover(g, z, inst.r)
-
-    def test_cached_ball_masks_give_the_same_cover(self):
-        rng = random.Random(62)
-        for g in tie_heavy_graphs(rng, 80, max_n=60, max_side=12):
-            for r in (1, 2, 3):
-                balls = ball_masks(g, r)
-                z = frozenset(v for v in range(g.n) if rng.random() < 0.6) if rng.random() < 0.5 else all_of(g)
-                inst = DominationInstance(g, z, r)
-                cached = greedy_dominator(inst, balls=balls)
-                assert cached.dominator == brute_greedy_cover(g, z, r)
-                assert cached == greedy_dominator(inst)
-
-    def test_ball_masks_match_distance_matrix(self):
-        rng = random.Random(63)
-        for g in tie_heavy_graphs(rng, 40, max_n=30, max_side=6):
-            dist = floyd_warshall(g)
-            for r in (0, 1, 2, 3):
-                balls = ball_masks(g, r)
-                assert balls == [sum(1 << y for y in range(g.n) if dist[x][y] <= r) for x in range(g.n)]
 
     def test_greedy_method_valid(self):
         rng = random.Random(47)

@@ -5,7 +5,6 @@ import pytest
 from rdomkernel import kernel
 from rdomkernel.domset import (
     DominationInstance,
-    ball_masks,
     enumerate_min_dominators,
     exact_min_dominator,
     is_dominator,
@@ -25,6 +24,7 @@ from rdomkernel.sparsity import default_closure_threshold
 
 from .oracles import (
     brute_dominates,
+    fan_and_star,
     floyd_warshall,
     linked_stars,
     one_removal_per_analysis_core,
@@ -74,14 +74,14 @@ def check_trace_step(g, r, step, checked_closures):
 class TestFindRedundantVertex:
     def test_big_star_drops_a_leaf(self):
         g = star_graph(50)
-        step = find_redundant_vertex(fresh_state(g, 1, 1))
-        assert step is not None
-        assert 1 <= step.removed <= 50
+        steps = find_redundant_vertex(fresh_state(g, 1, 1))
+        assert steps is not None
+        assert 1 <= steps[0].removed <= 50
         # same structure at oracle scale: the shrunk set is still a core
         small = star_graph(15)
-        small_step = find_redundant_vertex(fresh_state(small, 1, 1))
-        assert small_step is not None
-        assert core_property_holds(small, set(range(16)) - {small_step.removed}, 1)
+        small_steps = find_redundant_vertex(fresh_state(small, 1, 1))
+        assert small_steps is not None
+        assert core_property_holds(small, set(range(16)) - {small_steps[0].removed}, 1)
 
     def test_tiny_core_has_nothing_to_remove(self):
         g = path_graph(6)
@@ -90,13 +90,13 @@ class TestFindRedundantVertex:
 
     def test_spider_drops_a_leg_vertex(self):
         g = spider_graph(30, 2)
-        step = find_redundant_vertex(fresh_state(g, 2, 5))
-        assert step is not None
-        assert step.removed != 0
+        steps = find_redundant_vertex(fresh_state(g, 2, 5))
+        assert steps is not None
+        assert steps[0].removed != 0
         small = spider_graph(8, 2)
-        small_step = find_redundant_vertex(fresh_state(small, 2, 5))
-        assert small_step is not None
-        z_after = set(range(small.n)) - {small_step.removed}
+        small_steps = find_redundant_vertex(fresh_state(small, 2, 5))
+        assert small_steps is not None
+        z_after = set(range(small.n)) - {small_steps[0].removed}
         assert core_property_holds(small, z_after, 2)
         inst = full_instance(small, 2)
         after = DominationInstance(small, frozenset(z_after), 2)
@@ -168,7 +168,14 @@ class TestBatchedRemovals:
             return find_redundant_vertex(*args, **kwargs)
 
         monkeypatch.setattr(kernel, "find_redundant_vertex", counting)
-        for g, r, removed, analyses in [(star_graph(50), 1, 48, 3), (spider_graph(30, 2), 2, 56, 3)]:
+        cases = [
+            (star_graph(50), 1, 48, 3),
+            (spider_graph(30, 2), 2, 56, 3),
+            # one projection class per star, all certified by the same analysis
+            (linked_stars(6, 6), 1, 24, 2),
+            (linked_stars(7, 6), 2, 28, 3),
+        ]
+        for g, r, removed, analyses in cases:
             calls.clear()
             state = find_core(full_instance(g, r, k=g.n), target=0)
             assert len(state.trace) == removed
@@ -203,6 +210,61 @@ class TestBatchedRemovals:
         assert removals >= 500, removals
 
 
+class TestEveryClassCertified:
+    def test_one_analysis_certifies_disjoint_classes_in_pick_order(self):
+        cases = [
+            (linked_stars(6, 6), 1),
+            (linked_stars(7, 6), 2),
+            (spider_graph(12, 2), 2),
+            (fan_and_star(9, 8), 1),
+        ]
+        many = 0
+        for g, r in cases:
+            steps = find_redundant_vertex(fresh_state(g, r, k=g.n))
+            assert steps
+            many += len(steps) > 1
+            classes = [step.profile_class for step in steps]
+            assert len(set(classes)) == len(classes)
+            for i, step in enumerate(steps):
+                for later in steps[i + 1 :]:
+                    assert step.exchange_class.isdisjoint(later.exchange_class)
+            # largest class first, ties to the class holding the smallest vertex
+            picks = [(-len(c), min(c)) for c in classes]
+            assert picks == sorted(picks)
+            dist = floyd_warshall(g)
+            checked = set()
+            for step in steps:
+                assert step.removed == min(step.exchange_class)
+                check_trace_step(g, r, step, checked)
+                assert brute_dominates(g, step.dominator, range(g.n), r, dist)
+        assert many == 3, many
+
+    def test_a_smaller_class_passes_where_the_largest_fails(self):
+        for path_len, leaves in [(6, 5), (9, 8)]:
+            g = fan_and_star(path_len, leaves)
+            steps = find_redundant_vertex(fresh_state(g, 1, k=g.n))
+            closure = steps[0].closure
+            classes: dict[tuple, set] = {}
+            for u in range(g.n):
+                if u not in closure:
+                    classes.setdefault(projection_profile(g, u, closure, 3).entries, set()).add(u)
+            largest = max(classes.values(), key=len)
+            assert largest == set(range(1, path_len + 1))
+            assert all(step.profile_class != largest for step in steps)
+            # the oracle re-checks every removal
+            state = find_core(full_instance(g, 1, k=g.n), target=0, verify=True)
+            assert state.verify == "oracle"
+            assert len(state.trace) == leaves - 2
+            z = set(range(g.n))
+            dist = floyd_warshall(g)
+            checked = set()
+            for step in state.trace:
+                check_trace_step(g, 1, step, checked)
+                assert brute_dominates(g, step.dominator, z, 1, dist)
+                z.remove(step.removed)
+            assert z == state.z
+
+
 class TestAmortisedAnalysis:
     def replay_cases(self):
         rng = random.Random(64)
@@ -234,37 +296,10 @@ class TestAmortisedAnalysis:
             state = find_core(inst, target=0)
             monkeypatch.setattr(kernel, "target_traces", per_vertex)
             assert find_core(inst, target=0).trace == state.trace
-            # without cached masks the dominator searches the balls itself
-            monkeypatch.setattr(kernel, "ball_masks", lambda g, r: None)
-            assert find_core(inst, target=0).trace == state.trace
             monkeypatch.undo()
             removals += len(state.trace)
         assert removals >= 300, removals
         assert len(calls) >= 100, len(calls)
-
-    def test_masks_built_at_most_once_per_call(self, monkeypatch):
-        built = []
-
-        def counting(g, r):
-            built.append((g, r))
-            return ball_masks(g, r)
-
-        monkeypatch.setattr(kernel, "ball_masks", counting)
-        for g, r in [(star_graph(50), 1), (spider_graph(30, 2), 2), (linked_stars(7, 6), 2)]:
-            built.clear()
-            state = find_core(full_instance(g, r, k=g.n), target=0)
-            assert len(state.trace) > 0
-            assert built == [(g, r)]
-        # the default target stops this run before its first analysis
-        built.clear()
-        g = grid_graph(10, 10)
-        state = find_core(full_instance(g, 1, k=20))
-        assert state.rejection is None and state.trace == []
-        assert built == []
-        # so does a rejection
-        state = find_core(full_instance(g, 1, k=1), target=0)
-        assert state.rejection is not None
-        assert built == []
 
 
 class TestBuildKernelFromCore:

@@ -272,6 +272,15 @@ class TestVcDimension:
         with pytest.raises(ValueError):
             vc_dimension(SetFamily.from_sets(1, [{0}]), cap=13)
 
+    def test_negative_cap_is_rejected(self):
+        # a search that may not test even the empty set has no answer; -1
+        # is reserved for the empty family
+        for cap in (-1, -2):
+            for fam in (SetFamily.from_sets(1, [{0}]), SetFamily.from_sets(3, [])):
+                with pytest.raises(ValueError, match=f"got {cap}"):
+                    vc_dimension(fam, cap=cap)
+        assert vc_dimension(SetFamily.from_sets(1, [set(), {0}]), cap=0) == 1
+
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(10)
         for _ in range(120):

@@ -14,11 +14,13 @@ from rdomkernel.sparsity import (
 )
 
 from .oracles import (
+    brute_quasi_wide_extract,
     brute_r_closure,
     brute_short_paths_closure,
     floyd_warshall,
     linked_stars,
     random_sparse_graph,
+    tie_heavy_graphs,
 )
 
 
@@ -85,6 +87,21 @@ class TestQuasiWideExtract:
             assert scattered_in_deleted_graph(g, result, r)
             if result.ok:
                 assert len(result.scattered) >= m
+
+    def test_matches_rescan_every_vertex_oracle(self):
+        # many equal scores, so the lowest-id tie-break picks most hubs
+        rng = random.Random(37)
+        picks = 0
+        for g in tie_heavy_graphs(rng, 160, max_n=30, max_side=6):
+            a = [v for v in range(g.n) if rng.random() < 0.6] or [0]
+            r = rng.randint(1, 4)
+            m = rng.choice([len(a), rng.randint(1, len(a))])
+            result = quasi_wide_extract(g, a, r, m)
+            assert (result.separator, result.scattered, result.rounds, result.ok) == brute_quasi_wide_extract(
+                g, a, r, m
+            )
+            picks += result.rounds - 1
+        assert picks >= 200, picks
 
 
 class TestRClosure:
