@@ -1,14 +1,29 @@
-"""Immutable undirected graphs and bounded-radius queries.
+"""Immutable undirected graphs, their edge-list text, and bounded-radius
+queries.
 
 Vertices are contiguous ints 0..n-1; adjacency lists are stored sorted, so
 every traversal that walks neighbors in list order is deterministic and
 repeated runs reproduce results bit for bit. Unreachable distances are the
 symbolic ``INF`` (a float, so it can never collide with a real hop count).
+
+Edge-list text is read on one of two paths. Canonical text, the form
+:func:`dump_edge_list` writes, is checked against compiled patterns and its
+ids are decoded in one C-level pass by ``json``. Any other text, and every malformed one, goes through
+the line loop, which costs a few string operations and two ``int`` calls
+per line. The line loop stays because it is the only path for
+comments, blank lines, tabs, CRLF and a header placed elsewhere, the only
+place a parse error is raised, and the reference the canonical path is
+tested against. Both paths, and ``Graph(n, edges)``, build adjacency with
+one builder.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import eq, lt
 
 INF = float("inf")
 
@@ -21,6 +36,17 @@ MAX_VERTICES = 1 << 24
 # before any edge exists; 4 * MAX_VERTICES, so every bounded-degree family
 # that fits the vertex cap also fits this one.
 MAX_EDGES = 1 << 26
+
+# An id of canonical text: ASCII decimal, no sign, and at most the 8 digits
+# of MAX_VERTICES. JSON refuses the ones with a leading zero.
+_ID = "[0-9]{1,8}"
+_CANONICAL_HEADER = re.compile(f"p ({_ID})\n")
+_CANONICAL_EDGES = re.compile(f"(?:{_ID} {_ID}\n)*")
+# The pattern engine keeps a frame of a few hundred bytes per repeat of a
+# group until the match ends, so edge lines are matched in blocks of about
+# this many characters: the frames then stay well under a megabyte
+# whatever the file size.
+_CANONICAL_BLOCK = 1 << 14
 
 
 class ParseError(ValueError):
@@ -40,6 +66,13 @@ class SizeCapError(RuntimeError):
 class Graph:
     """Undirected simple graph: no self-loops, no parallel edges.
 
+    ``Graph(n, edges)`` accepts the edges in any order, either way round and
+    repeated. It checks them in bulk and fills one neighbour list per
+    vertex, so an isolated vertex costs an empty list, not a set. Each list
+    is then sorted and deduplicated, unless the edges came as strictly
+    increasing pairs (u, v) with u < v, as :func:`dump_edge_list` writes
+    them: the lists are then sorted and duplicate-free already.
+
     Immutable after construction; all queries are read-only and safe to
     share across workers.
     """
@@ -47,19 +80,38 @@ class Graph:
     __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges=()):
+        pairs = list(edges)
+        self._fill(n, [u for u, _ in pairs], [v for _, v in pairs])
+
+    @classmethod
+    def _from_columns(cls, n: int, us: list[int], vs: list[int]) -> Graph:
+        """The graph of the edges ``(us[i], vs[i])``, with the checks and
+        messages of ``Graph(n, edges)``."""
+        g = cls.__new__(cls)
+        g._fill(n, us, vs)
+        return g
+
+    def _fill(self, n: int, us: list[int], vs: list[int]):
+        # the one adjacency builder behind the constructor and the parser
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        # neighbour sets drop repeated pairs, whichever way round they come
-        neighbours: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            neighbours[u].add(v)
-            neighbours[v].add(u)
+        if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n or any(map(eq, us, vs))):
+            # some edge is bad: walk them in order to name the first one
+            for u, v in zip(us, vs):
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in zip(us, vs):
+            rows[u].append(v)
+            rows[v].append(u)
+        if all(map(lt, us, vs)) and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None)))):
+            # each row got its smaller neighbours, ascending, then its larger ones
+            self.adj = tuple(map(tuple, rows))
+        else:
+            self.adj = tuple(tuple(sorted(set(row))) for row in rows)
         self.n = n
-        self.adj = tuple(tuple(sorted(nb)) for nb in neighbours)
         self.m = sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
@@ -89,19 +141,89 @@ class Graph:
 
 def load_edge_list(source) -> Graph:
     """Parse the shared text format: edge lines ``u v``, ``#`` comments,
-    optional header ``p <n>`` declaring the vertex count.
+    optional header ``p <n>`` declaring the vertex count. Ids and the count
+    are ASCII decimal integers. ``source`` is a str, UTF-8 bytes, or an
+    iterable of lines.
 
     Without a header n is one past the largest id seen. Duplicate edges
-    collapse; self-loops and malformed lines raise :class:`ParseError`
-    with the line number, and an n above :data:`MAX_VERTICES` raises
-    :class:`SizeCapError` before the graph is allocated.
+    collapse; self-loops, malformed lines and invalid UTF-8 raise
+    :class:`ParseError` with the line number, and an n above
+    :data:`MAX_VERTICES` raises :class:`SizeCapError` before the graph is
+    allocated.
+
+    Canonical text (``p <n>\\n``, then ``u v\\n`` per edge, single spaces,
+    ids without leading zeros: what :func:`dump_edge_list` writes) costs one
+    pattern match, one JSON decode of its ids and the adjacency build, about
+    a third of the line loop's time on a 10^4-vertex grid. Any other str or
+    bytes goes to the line loop, which raises the errors; so does, after
+    that pattern match, a text of canonical shape that has an id with a
+    leading zero, a self-loop or an id outside ``p <n>``.
     """
+    if isinstance(source, (str, bytes)):
+        graph = _load_canonical(source)
+        if graph is not None:
+            return graph
+    return _load_lines(source)
+
+
+def _load_canonical(text: str | bytes) -> Graph | None:
+    """The graph of a canonical text; None for any other text."""
+    if isinstance(text, bytes):
+        # latin-1 maps each byte to one character, so a non-ASCII byte fails
+        # the pattern below rather than the decode
+        text = text.decode("latin-1")
+    header = _CANONICAL_HEADER.match(text)
+    if header is None:
+        return None
+    n = int(header[1])
+    start = pos = header.end()
+    while pos < len(text):
+        end = text.find("\n", pos + _CANONICAL_BLOCK) + 1 or len(text)
+        if _CANONICAL_EDGES.fullmatch(text, pos, end) is None:
+            return None
+        pos = end
+    if n > MAX_VERTICES:
+        return None
+    try:
+        ids = json.loads("[" + text[start:].replace(" ", ",").replace("\n", ",")[:-1] + "]")
+        us, vs = ids[0::2], ids[1::2]
+        del ids
+        return Graph._from_columns(n, us, vs)
+    except ValueError:
+        # an id with a leading zero, a self-loop or an id outside p <n>:
+        # the line loop reads the first and names the line of the others
+        return None
+
+
+def _decimal(token: str) -> int:
+    """The value of an ASCII decimal token with an optional leading ``-``;
+    ValueError for the ``+``, ``_`` and non-ASCII digits ``int`` accepts."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {token!r}")
+    return int(token)
+
+
+def _utf8(data: bytes, line: int) -> str:
+    """``data`` decoded, or a ParseError naming the line, counted from
+    ``line``, of its first invalid byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        at = line + len((before + "x").splitlines()) - 1
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", at) from None
+
+
+def _load_lines(source) -> Graph:
+    """The line loop: parses every input :func:`load_edge_list` accepts and
+    raises its parse errors; the reference for the canonical path."""
     if isinstance(source, bytes):
-        lines = source.decode("utf-8").splitlines()
+        lines = _utf8(source, 1).splitlines()
     elif isinstance(source, str):
         lines = source.splitlines()
     else:
-        lines = [ln.decode("utf-8") if isinstance(ln, bytes) else str(ln) for ln in source]
+        lines = [_utf8(ln, idx) if isinstance(ln, bytes) else str(ln) for idx, ln in enumerate(source, start=1)]
 
     declared: int | None = None
     edges: list[tuple[int, int]] = []
@@ -117,7 +239,7 @@ def load_edge_list(source) -> Graph:
             if len(parts) != 2:
                 raise ParseError("header must be 'p <n>'", idx)
             try:
-                declared = int(parts[1])
+                declared = _decimal(parts[1])
             except ValueError:
                 raise ParseError(f"non-integer vertex count {parts[1]!r}", idx) from None
             if declared < 0:
@@ -126,7 +248,7 @@ def load_edge_list(source) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {text!r}", idx)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise ParseError(f"non-integer vertex id in {text!r}", idx) from None
         if u < 0 or v < 0:
@@ -145,10 +267,13 @@ def load_edge_list(source) -> Graph:
 
 
 def dump_edge_list(g: Graph) -> str:
-    """Serialize a graph; inverse of :func:`load_edge_list`, byte-stable."""
-    out = [f"p {g.n}"]
-    out.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(out) + "\n"
+    """Serialize a graph in canonical form, the inverse of
+    :func:`load_edge_list` and byte-stable: ``p <n>``, then one ``u v`` line
+    per edge with u < v, ascending. One list comprehension over the
+    adjacency tuples writes the lines."""
+    lines = [f"p {g.n}"]
+    lines += [f"{u} {w}" for u, row in enumerate(g.adj) for w in row if u < w]
+    return "\n".join(lines) + "\n"
 
 
 def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:

@@ -38,6 +38,22 @@ def floyd_warshall(g: Graph) -> list[list[float]]:
     return dist
 
 
+def set_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Adjacency of ``Graph(n, edges)`` by the plain recipe: one neighbour
+    set per vertex, filled edge by edge, raising at the first bad edge."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    neighbours = [set() for _ in range(n)]
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    return tuple(tuple(sorted(nb)) for nb in neighbours)
+
+
 def simple_paths_from(g: Graph, start: int, max_len: int):
     """Yield every simple path from start with at most max_len edges,
     including the trivial path (start,)."""

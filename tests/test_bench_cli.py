@@ -278,6 +278,19 @@ class TestCli:
         assert main(["solve", "--graph", str(big), "--r", "1", "--method", "exact"]) == 3
         assert main(["wcol", "--graph", str(big), "--r", "1", "--exact"]) == 3
 
+    def test_non_decimal_ids_and_invalid_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edges"
+        for data, message in (
+            (b"p 11\n0 1_0\n", "line 2: non-integer vertex id in '0 1_0'"),
+            (b"0 1\n0 +2\n", "line 2: non-integer vertex id in '0 +2'"),
+            (b"p 3\n0 1\n1 \xff\n", "line 3: invalid UTF-8 byte 0xff"),
+        ):
+            bad.write_bytes(data)
+            assert main(["solve", "--graph", str(bad), "--r", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {message}\n"
+
     def test_bad_radius_exits_2(self, tmp_path, capsys):
         grid = tmp_path / "grid.edges"
         assert main(["gen", "grid", "--w", "5", "--h", "5", "--out", str(grid)]) == 0

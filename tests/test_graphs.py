@@ -1,13 +1,18 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomkernel.generators import grid_graph, star_graph
+from rdomkernel.generators import FAMILY_TABLE, GenSpec, generate, grid_graph, star_graph
 from rdomkernel.graphs import (
     Graph,
     ParseError,
+    SizeCapError,
+    _load_canonical,
+    _load_lines,
     ball,
     bfs_within,
     bounded_bfs,
@@ -18,7 +23,7 @@ from rdomkernel.graphs import (
     shortest_path,
 )
 
-from .oracles import floyd_warshall, random_graph, simple_paths_from
+from .oracles import floyd_warshall, random_graph, set_adjacency, simple_paths_from
 
 
 def path(n):
@@ -37,6 +42,81 @@ def graphs(draw, max_n=12):
         return Graph(n)
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     return Graph(n, edges)
+
+
+# Lines that a perturbed canonical text may gain: comments, blanks, tabs,
+# headers, reversed and repeated edges, leading zeros, huge ids, self-loops
+# and tokens that are not ASCII decimal integers.
+ODD_LINES = (
+    "# comment", "", "   ", "0 1  # trailing", "0\t1", "0 1", "1 0", "01 2", "0 001", "3 3", "-1 0",
+    "0 99999999999", "0 16777216", "0 1_0", "0 +1", "+1 0", "0 \u0661", "1.0 2", "x y", "0 1 2", "p",
+    "p 3", "p 11", "p +5", "p 012", "p 99999999", "p 16777217",
+)
+
+
+@st.composite
+def edge_texts(draw):
+    """Canonical texts of small graphs, and perturbations of them, as str
+    or as UTF-8 bytes (sometimes with an invalid byte)."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    lines = dump_edge_list(Graph(n, edges)).splitlines()
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(lines)))
+        kind = draw(st.sampled_from(("insert", "replace", "move header", "repeat", "reverse", "respace")))
+        if kind == "insert":
+            lines.insert(at, draw(st.sampled_from(ODD_LINES)))
+        elif at < len(lines) and kind == "replace":
+            lines[at] = draw(st.sampled_from(ODD_LINES))
+        elif at < len(lines) and kind == "move header":
+            lines.insert(at, lines.pop(0))
+        elif at < len(lines) and kind == "repeat":
+            lines.insert(at, lines[at])
+        elif at < len(lines) and kind == "reverse":
+            lines[at] = " ".join(reversed(lines[at].split(" ")))
+        elif at < len(lines):
+            lines[at] = lines[at].replace(" ", draw(st.sampled_from(("  ", "\t", " \t"))))
+    # mostly canonical line ends, so that a perturbed text is often one
+    # token away from canonical form
+    end = draw(st.sampled_from(("\n", "\n", "\n", "\r\n", "\r")))
+    text = end.join(lines) + draw(st.sampled_from((end, end, end, "", "\n\n")))
+    form = draw(st.sampled_from(("str", "str", "bytes", "bytes", "bad bytes")))
+    if form == "str":
+        return text
+    data = text.encode()
+    if form == "bytes":
+        return data
+    at = draw(st.integers(min_value=0, max_value=len(data)))
+    return data[:at] + draw(st.sampled_from((b"\xff", b"\xc3", b"\x80"))) + data[at:]
+
+
+def outcome(parse, source):
+    try:
+        g = parse(source)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return g.n, g.adj, g.m
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): repeated, reversed and shuffled or strictly increasing
+    edges, sometimes with bad edges (self-loops, ids out of range) mixed in."""
+    n = draw(st.integers(min_value=-1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        edges = []
+    elif draw(st.booleans()):
+        edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))))
+    else:
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * len(pairs)))
+        flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = draw(st.permutations([(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if draw(st.booleans()) else 0):
+        bad = st.integers(min_value=-2, max_value=max(n, 0) + 2)
+        edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), draw(st.tuples(bad, bad)))
+    return n, edges
 
 
 class TestLoadEdgeList:
@@ -73,6 +153,84 @@ class TestLoadEdgeList:
     def test_round_trip(self):
         g = grid_graph(3, 3)
         assert load_edge_list(dump_edge_list(g)) == g
+
+    def test_ids_and_count_are_ascii_decimal(self):
+        # int() reads each of these tokens as a number
+        for text, line in (
+            ("0 1_0", 1),
+            ("0 +1", 1),
+            ("p +5\n0 1", 1),
+            ("0 \u0661", 1),
+            ("p 11\n0 1_0\n", 2),
+            ("p 2\n0 1\n+1 0\n", 3),
+        ):
+            for source in (text, text.encode()):
+                with pytest.raises(ParseError) as err:
+                    load_edge_list(source)
+                assert err.value.line == line, text
+
+    def test_invalid_utf8_names_its_line(self):
+        for data, line in (
+            (b"\xff", 1),
+            (b"p 3\n0 1\n1 \xff2\n", 3),
+            (b"0 1\r\n# caf\xc3\xa9\r\n1 \xc3\n", 3),
+            (b"0 1\r1 \x80", 2),
+        ):
+            with pytest.raises(ParseError) as err:
+                load_edge_list(data)
+            assert err.value.line == line
+            assert "invalid UTF-8 byte" in str(err.value)
+        with pytest.raises(ParseError) as err:
+            load_edge_list([b"0 1", b"1 \xff"])
+        assert err.value.line == 2
+
+    def test_isolated_vertices_cost_no_set_each(self):
+        tracemalloc.start()
+        try:
+            g = load_edge_list("p 200000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (200000, 0)
+        assert peak <= 16_000_000
+
+    @settings(max_examples=400)
+    @given(edge_texts())
+    def test_matches_line_loop(self, source):
+        assert outcome(load_edge_list, source) == outcome(_load_lines, source)
+
+    def test_one_odd_line_matches_line_loop(self):
+        # every odd line at every place in a canonical text, inserted or
+        # replacing a line, as str and as bytes
+        lines = dump_edge_list(Graph(6, [(0, 1), (0, 5), (2, 3), (3, 4)])).splitlines()
+        for odd in ODD_LINES:
+            for at in range(len(lines) + 1):
+                for changed in (lines[:at] + [odd] + lines[at:], lines[:at] + [odd] + lines[at + 1:]):
+                    text = "\n".join(changed) + "\n"
+                    for source in (text, text.encode()):
+                        assert outcome(load_edge_list, source) == outcome(_load_lines, source), source
+
+    def test_canonical_header_above_cap(self):
+        for text in ("p 16777217\n", "p 99999999\n0 1\n"):
+            with pytest.raises(SizeCapError):
+                load_edge_list(text)
+
+    def test_round_trip_on_generator_families(self):
+        built = 0
+        for name, family in FAMILY_TABLE.items():
+            for args in itertools.product((1, 2, 3, 5), repeat=len(family.params)):
+                for seed in (0, 1) if family.seeded else (0,):
+                    try:
+                        g = generate(GenSpec(name, dict(zip(family.params, args)), seed))
+                    except ValueError:
+                        continue  # outside the family's valid range
+                    text = dump_edge_list(g)
+                    for source in (text, text.encode()):
+                        assert load_edge_list(source) == g
+                        # the bulk path reads what dump_edge_list writes
+                        assert _load_canonical(source) == g
+                    built += 1
+        assert built > 50
 
 
 class TestBfsWithin:
@@ -252,3 +410,17 @@ class TestGraphBasics:
         g = Graph(3, [(2, 0), (0, 1), (1, 0)])
         assert g.adj[0] == (1, 2)
         assert g.m == 2
+
+    @settings(max_examples=300)
+    @given(edge_lists())
+    def test_matches_set_reference(self, n_edges):
+        n, edges = n_edges
+        try:
+            expected = set_adjacency(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                Graph(n, edges)
+            assert str(err.value) == str(exc)
+            return
+        g = Graph(n, iter(edges))
+        assert (g.n, g.adj, g.m) == (n, expected, sum(map(len, expected)) // 2)
