@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import eq, lt
 
 INF = float("inf")
@@ -68,10 +68,12 @@ class Graph:
 
     ``Graph(n, edges)`` accepts the edges in any order, either way round and
     repeated. It checks them in bulk and fills one neighbour list per
-    vertex, so an isolated vertex costs an empty list, not a set. Each list
-    is then sorted and deduplicated, unless the edges came as strictly
-    increasing pairs (u, v) with u < v, as :func:`dump_edge_list` writes
-    them: the lists are then sorted and duplicate-free already.
+    vertex up to the largest endpoint, so an isolated vertex costs an empty
+    list, not a set, and one above every endpoint only a reference to the
+    shared empty tuple. Each list is then sorted and deduplicated, unless
+    the edges came as strictly increasing pairs (u, v) with u < v, as
+    :func:`dump_edge_list` writes them: the lists are then sorted and
+    duplicate-free already.
 
     Immutable after construction; all queries are read-only and safe to
     share across workers.
@@ -95,22 +97,28 @@ class Graph:
         # the one adjacency builder behind the constructor and the parser
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n or any(map(eq, us, vs))):
+        top = max(max(us), max(vs)) + 1 if us else 0
+        if us and (min(us) < 0 or min(vs) < 0 or top > n or any(map(eq, us, vs))):
             # some edge is bad: walk them in order to name the first one
             for u, v in zip(us, vs):
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        rows: list[list[int]] = [[] for _ in range(n)]
+        rows: list[list[int]] = [[] for _ in range(top)]
         for u, v in zip(us, vs):
             rows[u].append(v)
             rows[v].append(u)
         if all(map(lt, us, vs)) and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None)))):
             # each row got its smaller neighbours, ascending, then its larger ones
-            self.adj = tuple(map(tuple, rows))
+            adj = map(tuple, rows)
         else:
-            self.adj = tuple(tuple(sorted(set(row))) for row in rows)
+            adj = (tuple(sorted(set(row))) for row in rows)
+        if top < n:
+            # the isolated vertices above the largest endpoint share one
+            # empty tuple: a declared count costs 8 bytes per vertex
+            adj = chain(adj, repeat((), n - top))
+        self.adj = tuple(adj)
         self.n = n
         self.m = sum(map(len, self.adj)) // 2
 

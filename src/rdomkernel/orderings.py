@@ -6,6 +6,13 @@ weak r-coloring number of a fixed order is the largest such set over all
 vertices; the graph invariant minimizes that over all n! orders, which
 is only feasible on tiny graphs. At scale the smallest-last degeneracy
 order serves as the upper-bound witness.
+
+The sets are found from the low end (Nadara et al., SEA 2018): sweep the
+vertices u in rank order, and one search from u, bounded by r and stopped
+at the vertices already swept, reaches exactly the unswept x with u in
+WReach_r[x]. Each vertex thus costs one bounded search over the vertices
+not yet swept. ``wcol_of_order`` keeps one counter per vertex, O(n)
+memory; only ``wreach_all`` holds the sets, O(sum of |WReach_r|).
 """
 
 from __future__ import annotations
@@ -54,6 +61,18 @@ def _check_radius(r: int):
         raise ValueError(f"radius must be non-negative, got {r}")
 
 
+def _check_order(g: Graph, order: Ordering):
+    if len(order) != g.n:
+        raise ValueError(f"order has {len(order)} vertices, graph has {g.n}")
+
+
+def _reached_above(g: Graph, u: int, r: int, swept) -> list[int]:
+    """The vertices outside ``swept`` within distance r of u over paths whose
+    interior avoids ``swept``: with ``swept`` the vertices ranked below u,
+    exactly the x that have u in WReach_r[x]."""
+    return [x for x in bounded_bfs(g, u, r, swept) if x not in swept]
+
+
 def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
     """Exact weak-r-reachability set of v under the given order.
 
@@ -62,6 +81,7 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
     path minimum strictly improves. Exponential in r only.
     """
     _check_radius(r)
+    _check_order(g, order)
     pos = order.position
     found = {v}
     best: dict[tuple[int, int], int] = {(v, r): pos[v]}
@@ -86,27 +106,38 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
 def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:
     """All weak-r-reachability sets at once.
 
-    Sweeps the vertices u in rank order. A BFS from u that stops at the
-    vertices already swept (ranked below u) reaches, among the others,
-    exactly the vertices that weakly r-reach u; one BFS per vertex total.
+    Sweeps the vertices u in rank order; each costs one bounded search
+    over the vertices not yet swept, which adds u to the set of every
+    vertex it reaches. Holds all the sets, O(sum of |WReach_r|) memory;
+    :func:`wcol_of_order` needs only their sizes.
     """
     _check_radius(r)
+    _check_order(g, order)
     result: list[set[int]] = [set() for _ in range(g.n)]
-    lower: set[int] = set()
+    swept: set[int] = set()
     for u in order.sequence():
-        for x in bounded_bfs(g, u, r, lower):
-            if x not in lower:
-                result[x].add(u)
-        lower.add(u)
+        for x in _reached_above(g, u, r, swept):
+            result[x].add(u)
+        swept.add(u)
     return result
 
 
 def wcol_of_order(g: Graph, order: Ordering, r: int) -> int:
-    """Largest weak-r-reachability set size under a fixed order."""
+    """Largest weak-r-reachability set size under a fixed order.
+
+    The sweep of :func:`wreach_all`, one bounded search per vertex over the
+    vertices not yet swept, with a counter per vertex in place of its set:
+    O(n) memory however large the sets grow.
+    """
     _check_radius(r)
-    if g.n == 0:
-        return 0
-    return max(len(s) for s in wreach_all(g, order, r))
+    _check_order(g, order)
+    count = [0] * g.n
+    swept: set[int] = set()
+    for u in order.sequence():
+        for x in _reached_above(g, u, r, swept):
+            count[x] += 1
+        swept.add(u)
+    return max(count, default=0)
 
 
 def degeneracy_order(g: Graph) -> Ordering:
@@ -178,7 +209,7 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
         for u in range(n):
             if u in placed:
                 continue
-            bumped = [x for x in bounded_bfs(g, u, r, placed) if x not in placed]
+            bumped = _reached_above(g, u, r, placed)
             new_max = cur_max
             for x in bumped:
                 counts[x] += 1

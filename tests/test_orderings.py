@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,15 @@ from rdomkernel.orderings import (
     wreach_all,
 )
 
-from .oracles import brute_degeneracy_order, brute_wcol_exact, brute_wreach, random_graph, tie_heavy_graphs
+from .oracles import (
+    brute_degeneracy_order,
+    brute_wcol_exact,
+    brute_wreach,
+    random_graph,
+    random_sparse_graph,
+    relabelled,
+    tie_heavy_graphs,
+)
 
 
 def path(n):
@@ -50,6 +59,20 @@ class TestNegativeRadius:
         ):
             with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
                 call()
+
+
+class TestOrderLength:
+    def test_every_entry_point_rejects_a_wrong_length(self):
+        g = path(4)
+        for seq in ([1, 0], list(range(6))):
+            order = Ordering.from_sequence(seq)
+            for call in (
+                lambda: wreach(g, order, 0, 2),
+                lambda: wreach_all(g, order, 2),
+                lambda: wcol_of_order(g, order, 2),
+            ):
+                with pytest.raises(ValueError, match=f"order has {len(seq)} vertices, graph has 4"):
+                    call()
 
 
 class TestWreach:
@@ -108,6 +131,34 @@ class TestWcolOfOrder:
 
     def test_p3_middle_first(self):
         assert wcol_of_order(path(3), Ordering.from_sequence([1, 0, 2]), 2) == 2
+
+    def test_matches_brute_force(self):
+        rng = random.Random(30)
+        graphs = [Graph(0), Graph(1), Graph(5)]
+        graphs += tie_heavy_graphs(rng, 40, max_n=14, max_side=5)
+        graphs += [relabelled(rng, random_sparse_graph(rng, rng.randint(1, 14))) for _ in range(20)]
+        for g in graphs:
+            seq = list(range(g.n))
+            rng.shuffle(seq)
+            for order in (Ordering.from_sequence(seq), degeneracy_order(g)):
+                for r in range(5):
+                    expected = max((len(brute_wreach(g, order, v, r)) for v in range(g.n)), default=0)
+                    assert wcol_of_order(g, order, r) == expected
+
+    def test_memory_does_not_grow_with_the_sets(self):
+        # on the 100x100 grid at r=4 the sets of wreach_all peak at about 21 MB
+        g = grid_graph(100, 100)
+        order = degeneracy_order(g)
+        peaks = {}
+        for r in (2, 4):
+            tracemalloc.start()
+            try:
+                wcol_of_order(g, order, r)
+                peaks[r] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 3_000_000
+        assert abs(peaks[4] - peaks[2]) <= 0.1 * peaks[2]
 
     def test_monotone_in_radius(self):
         rng = random.Random(24)
