@@ -5,7 +5,10 @@ some vertex of D. The exact solver and the all-optima enumerator are the
 trusted oracles the pipeline is verified against; both carry hard size
 caps and refuse larger instances rather than approximate silently. The
 approximation is the deterministic greedy cover (lowest id on ties), valid
-by construction; ``bg_approx_dominator`` is kept as an alias of it.
+by construction; ``bg_approx_dominator`` is kept as an alias of it. The
+cover is the counter form of greedy set cover: it holds each dominatee's
+r-ball once and one gain per vertex, so it needs O(sum of |N_r[z]| over z
+in Z) time and memory; the oracles keep one coverage bitmask per vertex.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ class DominationInstance:
     k: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "z", frozenset(self.z))
-        for v in self.z:
-            if not 0 <= v < self.g.n:
-                raise ValueError(f"dominatee {v} out of range for n={self.g.n}")
+        z = frozenset(self.z)
+        object.__setattr__(self, "z", z)
+        if z:
+            lo, hi = min(z), max(z)
+            if not (0 <= lo and hi < self.g.n):
+                raise ValueError(f"dominatee {lo if lo < 0 else hi} out of range for n={self.g.n}")
         if self.r < 1:
             raise ValueError("domination radius must be at least 1")
         if self.k < 0:
@@ -79,30 +84,43 @@ def _coverage(inst: DominationInstance):
     return zs, cover
 
 
-def _greedy_cover(cover, full: int) -> list[int]:
-    """Greedy set cover over the coverage masks, lowest id on ties.
+def _greedy_cover(inst: DominationInstance) -> list[int]:
+    """Greedy set cover of the dominatees by r-balls, lowest id on ties.
 
-    Lazy greedy (Minoux, 1978) on a heap keyed ``(-gain, id)``: a popped
-    vertex's gain is recomputed and it is taken only when its fresh key
-    is still at most the heap's top, else the fresh key goes back. Gains
-    only fall as coverage grows, so every stored key bounds its vertex's
-    true key from below and the taken vertex has the largest gain, lowest
-    id on ties: the same pick as a scan over all n masks. Each pop costs
-    one mask count and O(log n) heap steps, and a vertex is popped again
-    only after its gain has fallen.
+    Counter form (Johnson, 1974): each dominatee's r-ball is stored once,
+    and ``gain[v]`` counts the uncovered dominatees within distance r of v.
+    Picking v covers the dominatees in its own r-ball, and each one covered
+    takes one off the gain of every vertex in its ball, so time and memory
+    are O(sum of |N_r[z]| over z in Z) plus the picks' searches. Lazy
+    greedy (Minoux, 1978) on a heap keyed ``(-gain, id)``: a popped vertex
+    is taken only when its current key is still at most the heap's top,
+    else the current key goes back. Gains only fall, so every stored key
+    bounds its vertex's true key from below and the taken vertex has the
+    largest gain, lowest id on ties: the same pick as a scan over all n
+    vertices.
     """
-    heap = [(-c.bit_count(), v) for v, c in enumerate(cover) if c]
+    g, r = inst.g, inst.r
+    balls = {zv: list(bounded_bfs(g, zv, r)) for zv in sorted(inst.z)}
+    gain = [0] * g.n
+    for ball in balls.values():
+        for x in ball:
+            gain[x] += 1
+    heap = [(-c, v) for v, c in enumerate(gain) if c]
     heapq.heapify(heap)
     chosen = []
-    uncovered = full
-    while uncovered:
+    while balls:
         _, v = heapq.heappop(heap)
-        key = (-(cover[v] & uncovered).bit_count(), v)
+        key = (-gain[v], v)
         if heap and key > heap[0]:
             heapq.heappush(heap, key)
             continue
         chosen.append(v)
-        uncovered &= ~cover[v]
+        # distances are symmetric: the dominatees v covers are in its ball
+        for zv in bounded_bfs(g, v, r):
+            ball = balls.pop(zv, None)
+            if ball is not None:
+                for x in ball:
+                    gain[x] -= 1
     return chosen
 
 
@@ -121,8 +139,7 @@ def greedy_dominator(
         witness = greedy_scattered_lower_bound(inst)
     if not inst.z:
         return DominatorResult(frozenset(), True, witness)
-    zs, cover = _coverage(inst)
-    chosen = _greedy_cover(cover, (1 << len(zs)) - 1)
+    chosen = _greedy_cover(inst)
     return DominatorResult(frozenset(chosen), len(chosen) == len(witness), witness)
 
 
@@ -153,7 +170,7 @@ def exact_min_dominator(inst: DominationInstance, cap: int = 64) -> DominatorRes
         near = bounded_bfs(inst.g, zv, 2 * inst.r)
         conflict.append(sum(1 << j for j, other in enumerate(zs) if other in near))
 
-    best = _greedy_cover(cover, full)
+    best = _greedy_cover(inst)
     memo: dict[int, int] = {}
 
     def scattered_lb(covered: int) -> int:

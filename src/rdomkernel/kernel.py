@@ -18,10 +18,17 @@ member of its exchange class beyond |buy| + 1, and phase one removes them
 all before analysing again. Each removal still keeps its own recorded
 step, and the rejection route is checked once per analysis.
 
-An analysis costs one radius-r search per dominatee (the dominator's
-coverage), one closure-avoiding radius-3r search per member of the
-closure (projection classes), and, per class large enough to pass, the
-scattered-set extraction and one radius-r search per extracted vertex.
+Every search runs from the smaller side of its question. An analysis
+costs one radius-r search per dominatee and one per pick (the counter
+greedy cover, in O(sum of |N_r[z]|) memory), one closure-avoiding
+radius-3r search per member of the closure, shared by the closure's
+starting sizes and the projection classes (a closure that gains hubs also
+recounts near each hub and searches once more from the final closure),
+and, per class large enough to pass, the scattered-set extraction
+and one radius-r search per separator vertex (the distance-profile
+subclasses). The kernel build classes the vertices outside the core with
+one core-avoiding radius-r search per core vertex, and none when the core
+is all of V.
 """
 
 from __future__ import annotations
@@ -36,8 +43,11 @@ from .domset import (
     greedy_scattered_lower_bound,
     is_dominator,
 )
-from .graphs import Graph, SubgraphMap, induced_subgraph
-from .profiles import distance_profile, projection_profile, target_traces
+from .graphs import Graph, SubgraphMap, bounded_bfs, induced_subgraph
+# distance_profile and projection_profile define the keys the pipeline
+# computes in bulk; they stay importable here, where the benchmark's
+# tracer looks up the pipeline's boundaries
+from .profiles import distance_profile, projection_profile, target_traces  # noqa: F401
 from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure, short_paths_closure
 
 
@@ -98,6 +108,18 @@ def _largest_class(groups: dict) -> tuple[tuple, list[int]]:
     return max(groups.items(), key=lambda item: (len(item[1]), -min(item[1])))
 
 
+def separator_profiles(g: Graph, separator, members, r: int) -> dict[int, tuple]:
+    """``distance_profile(g, v, separator, r).entries`` for each v of
+    ``members``, from one radius-r search per separator vertex."""
+    keys: dict[int, list] = {v: [] for v in members}
+    for s in sorted(separator):
+        for v, d in bounded_bfs(g, s, r).items():
+            key = keys.get(v)
+            if key is not None:
+                key.append((s, d))
+    return {v: tuple(key) for v, key in keys.items()}
+
+
 def find_redundant_vertex(
     state: CoreState,
     *,
@@ -109,11 +131,12 @@ def find_redundant_vertex(
 
     Pipeline: approximate a dominator X of the current core, close it at
     triple radius at :func:`default_closure_threshold`, and class the core
-    outside the closure by projection profile, from the closure's side
-    (:func:`target_traces`). Each class with at least |key| + 2 members,
-    largest first (ties to the class holding the smallest vertex), goes
-    through the scattered-behind-a-separator extraction, and the largest
-    piece R of its split by distance profile on the separator is certified
+    outside the closure by projection profile, from the traces of the
+    closure's own search (``ClosureResult.traces``). Each class with at
+    least |key| + 2 members, largest first (ties to the class holding the
+    smallest vertex), goes through the scattered-behind-a-separator
+    extraction, and the largest piece R of its split by distance profile
+    on the separator (:func:`separator_profiles`) is certified
     when |R| >= |buy| + 2, where buy (recorded in the step) is the class's
     projection onto the closure plus the separator. A step names the
     smallest member of its R. The classes depend on X alone, so removals
@@ -128,12 +151,13 @@ def find_redundant_vertex(
     if not z:
         return None
     x = bg_approx_dominator(replace(inst, z=z), witness=witness).dominator
-    x_cl = r_closure(g, x, 3 * r, default_closure_threshold(g)).closure
+    closure = r_closure(g, x, 3 * r, default_closure_threshold(g))
+    x_cl = closure.closure
     outside = [u for u in sorted(z) if u not in x_cl]
     if not outside:
         return None
     # for u outside x_cl its trace is projection_profile(g, u, x_cl, 3r).entries
-    traces = target_traces(g, x_cl, 3 * r, distances=True, avoiding=True)
+    traces = closure.traces
     classes: dict[tuple, list[int]] = {}
     for u in outside:
         classes.setdefault(traces[u], []).append(u)
@@ -144,9 +168,10 @@ def find_redundant_vertex(
             continue
         # kappa is non-empty, so the first round already scatters one vertex
         qw = quasi_wide_extract(g, kappa, 2 * r, m=len(kappa))
+        keys = separator_profiles(g, qw.separator, qw.scattered, r)
         subclasses: dict[tuple, list[int]] = {}
         for v in sorted(qw.scattered):
-            subclasses.setdefault(distance_profile(g, v, qw.separator, r).entries, []).append(v)
+            subclasses.setdefault(keys[v], []).append(v)
         _, exchange = _largest_class(subclasses)
         # every member of kappa projects onto x_cl as the class key says
         buy = frozenset(a for a, _ in kappa_key) | qw.separator
@@ -255,15 +280,18 @@ def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
     projection-profile class outside it (lowest id), and the shortest
     paths that preserve all pairwise distances up to r among the kept
     vertices. The result is an induced subgraph with the same annotated
-    domination number, assuming z is a core (the caller's obligation)."""
+    domination number, assuming z is a core (the caller's obligation).
+    The classes come from one z-avoiding search per member of z
+    (:func:`target_traces`); when z is all of V there is nothing to class
+    and no search runs."""
     zf = frozenset(z)
     reps: dict[tuple, int] = {}
-    for u in range(g.n):
-        if u in zf:
-            continue
-        key = projection_profile(g, u, zf, r).entries
-        if key not in reps:
-            reps[key] = u
+    if len(zf) < g.n:
+        # for u outside zf its trace is projection_profile(g, u, zf, r).entries
+        traces = target_traces(g, zf, r, distances=True, avoiding=True)
+        for u in range(g.n):
+            if u not in zf:
+                reps.setdefault(traces[u], u)
     kept = set(zf) | set(reps.values())
     closed = short_paths_closure(g, kept, r)
     sub, idmap = induced_subgraph(g, closed)

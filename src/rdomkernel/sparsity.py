@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, _walk_back, bounded_bfs, greedy_scattered
 from .profiles import projection, target_traces
@@ -30,10 +30,14 @@ class QwResult:
 @dataclass(frozen=True)
 class ClosureResult:
     """Closure Y of X: outside Y, every radius-r projection onto Y is
-    smaller than the threshold. ``added`` lists hub vertices in pick order."""
+    smaller than the threshold. ``added`` lists hub vertices in pick order.
+    ``traces`` is ``target_traces(g, Y, r, distances=True, avoiding=True)``:
+    for u outside Y, ``traces[u]`` is ``projection_profile(g, u, Y,
+    r).entries``."""
 
     closure: frozenset[int]
     added: tuple[int, ...]
+    traces: list[tuple] = field(compare=False, repr=False)
 
 
 def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) -> QwResult:
@@ -47,9 +51,10 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
     result carries the best (S, B) seen and ok=False.
     """
     targets = set(a)
-    for v in targets:
-        if not 0 <= v < g.n:
-            raise IndexError(f"vertex {v} out of range for n={g.n}")
+    if targets:
+        lo, hi = min(targets), max(targets)
+        if not (0 <= lo and hi < g.n):
+            raise IndexError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
     if r < 0:
         raise ValueError(f"radius must be non-negative, got {r}")
     if m < 1:
@@ -96,17 +101,25 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     and joins Y. Terminates because Y only grows; worst case Y = V.
 
     The starting sizes come from one Y-avoiding BFS per member of X
-    (:func:`target_traces`). A hub h can change only the projections of
-    the vertices that reach h by a Y-avoiding path of length at most r,
-    so after each pick only the vertices of ``bounded_bfs(g, h, r, Y)``
-    are recounted; a heap of (-size, id) entries, stale ones skipped,
-    yields the next pick.
+    (:func:`target_traces`, with distances). A hub h can change only the
+    projections of the vertices that reach h by a Y-avoiding path of
+    length at most r, so after each pick only the vertices of
+    ``bounded_bfs(g, h, r, Y)`` are recounted; a heap of (-size, id)
+    entries, stale ones skipped, yields the next pick. The starting
+    traces are the final closure's when no hub joins; otherwise the final
+    closure's traces take one more search.
     """
     if t < 2:
         raise ValueError("closure threshold must be at least 2")
     y = frozenset(x)
-    sizes = [len(trace) for trace in target_traces(g, y, r, avoiding=True)]
+    traces = target_traces(g, y, r, distances=True, avoiding=True)
+    sizes = [len(trace) for trace in traces]
     heap = [(-size, u) for u, size in enumerate(sizes) if size >= t and u not in y]
+    if not heap:
+        return ClosureResult(y, (), traces)
+    # the first pick is never stale, so a hub joins: the final closure's
+    # traces are searched again below
+    del traces
     heapq.heapify(heap)
     added = []
     while heap:
@@ -123,7 +136,7 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
                 sizes[u] = size
                 if size >= t:
                     heapq.heappush(heap, (-size, u))
-    return ClosureResult(y, tuple(added))
+    return ClosureResult(y, tuple(added), target_traces(g, y, r, distances=True, avoiding=True))
 
 
 def short_paths_closure(g: Graph, x, r: int) -> set[int]:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from rdomkernel.domset import (
     DominationInstance,
+    _coverage,
+    _greedy_cover,
     bg_approx_dominator,
     enumerate_min_dominators,
     exact_min_dominator,
@@ -43,6 +45,19 @@ class TestInstance:
     def test_rejects_alien_dominatee(self):
         with pytest.raises(ValueError):
             DominationInstance(path(3), frozenset({5}), 1)
+
+    def test_range_errors_name_the_vertex(self):
+        with pytest.raises(ValueError, match="dominatee -2 out of range for n=3"):
+            DominationInstance(path(3), frozenset({0, -2, 1}), 1)
+        with pytest.raises(ValueError, match="dominatee 3 out of range for n=3"):
+            DominationInstance(path(3), frozenset({0, 3, 1}), 1)
+        with pytest.raises(ValueError, match="dominatee 0 out of range for n=0"):
+            DominationInstance(Graph(0), frozenset({0}), 1)
+
+    def test_empty_and_full_sets_pass(self):
+        assert DominationInstance(path(3), frozenset(), 1).z == frozenset()
+        assert DominationInstance(Graph(0), frozenset(), 1).z == frozenset()
+        assert DominationInstance(path(3), [2, 0, 1], 1).z == frozenset(range(3))
 
 
 class TestIsDominator:
@@ -245,6 +260,25 @@ class TestBgApproxDominator:
             z = frozenset(v for v in range(g.n) if rng.random() < 0.7) if rng.random() < 0.5 else all_of(g)
             inst = DominationInstance(g, z, rng.randint(1, 3))
             assert greedy_dominator(inst).dominator == brute_greedy_cover(g, z, inst.r)
+
+    def test_counter_cover_picks_in_mask_scan_order(self):
+        # the pick sequence equals a full scan over the oracles' coverage
+        # masks, on graphs too large for the distance-matrix oracle
+        rng = random.Random(51)
+        graphs = [grid_graph(20, 17), star_graph(300)]
+        graphs += [random_sparse_graph(rng, rng.randint(150, 300)) for _ in range(4)]
+        for g in graphs:
+            for r in (1, 2, 3):
+                for z in (all_of(g), frozenset(v for v in range(g.n) if rng.random() < 0.4)):
+                    inst = DominationInstance(g, z, r)
+                    zs, cover = _coverage(inst)
+                    uncovered = (1 << len(zs)) - 1
+                    expected = []
+                    while uncovered:
+                        pick = max(range(g.n), key=lambda v: ((cover[v] & uncovered).bit_count(), -v))
+                        expected.append(pick)
+                        uncovered &= ~cover[pick]
+                    assert _greedy_cover(inst) == expected
 
     def test_greedy_method_valid(self):
         rng = random.Random(47)

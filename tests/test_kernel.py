@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from rdomkernel import kernel
+from rdomkernel import kernel, sparsity
 from rdomkernel.domset import (
     DominationInstance,
     enumerate_min_dominators,
@@ -275,7 +276,8 @@ class TestAmortisedAnalysis:
         return cases
 
     def test_closure_side_classes_match_per_vertex_profiles(self, monkeypatch):
-        traced = kernel.target_traces
+        # the classes come from the closure's own search, in r_closure
+        traced = sparsity.target_traces
         calls = []
 
         def checking(g, a, r, **kwargs):
@@ -292,14 +294,88 @@ class TestAmortisedAnalysis:
         removals = 0
         for g, r in self.replay_cases():
             inst = full_instance(g, r, k=g.n)
-            monkeypatch.setattr(kernel, "target_traces", checking)
+            monkeypatch.setattr(sparsity, "target_traces", checking)
             state = find_core(inst, target=0)
-            monkeypatch.setattr(kernel, "target_traces", per_vertex)
+            monkeypatch.setattr(sparsity, "target_traces", per_vertex)
             assert find_core(inst, target=0).trace == state.trace
             monkeypatch.undo()
             removals += len(state.trace)
         assert removals >= 300, removals
         assert len(calls) >= 100, len(calls)
+
+    def test_separator_side_subclasses_match_per_vertex_profiles(self, monkeypatch):
+        extract = kernel.quasi_wide_extract
+        checked = []
+
+        def checking(g, a, r, **kwargs):
+            qw = extract(g, a, r, **kwargs)
+            # the kernel extracts at 2r and subclasses at r
+            keys = kernel.separator_profiles(g, qw.separator, qw.scattered, r // 2)
+            assert set(keys) == set(qw.scattered)
+            for v in qw.scattered:
+                assert keys[v] == distance_profile(g, v, qw.separator, r // 2).entries
+            checked.append(bool(qw.separator))
+            return qw
+
+        def per_vertex(g, separator, members, r):
+            return {v: distance_profile(g, v, separator, r).entries for v in members}
+
+        removals = 0
+        for g, r in self.replay_cases():
+            inst = full_instance(g, r, k=g.n)
+            monkeypatch.setattr(kernel, "quasi_wide_extract", checking)
+            state = find_core(inst, target=0)
+            monkeypatch.undo()
+            monkeypatch.setattr(kernel, "separator_profiles", per_vertex)
+            assert find_core(inst, target=0).trace == state.trace
+            monkeypatch.undo()
+            removals += len(state.trace)
+        assert removals >= 300, removals
+        assert len(checked) >= 90 and sum(checked) >= 50, (len(checked), sum(checked))
+
+    def test_core_side_kernel_matches_per_vertex_profiles(self, monkeypatch):
+        def per_vertex(g, a, r, **kwargs):
+            assert kwargs == {"distances": True, "avoiding": True}
+            return [() if u in a else projection_profile(g, u, a, r).entries for u in range(g.n)]
+
+        rng = random.Random(65)
+        shrunk = 0
+        for g, r in self.replay_cases():
+            z = find_core(full_instance(g, r, k=g.n), target=0).z
+            shrunk += len(z) < g.n
+            for core in (z, set(rng.sample(range(g.n), rng.randint(1, g.n)))):
+                result = build_kernel_from_core(g, core, r)
+                monkeypatch.setattr(kernel, "target_traces", per_vertex)
+                assert build_kernel_from_core(g, core, r) == result
+                monkeypatch.undo()
+        assert shrunk >= 30, shrunk
+
+    def test_kernel_build_skips_the_search_for_a_full_core(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no vertex lies outside the core")
+
+        monkeypatch.setattr(kernel, "target_traces", refuse)
+        g = grid_graph(5, 4)
+        result = build_kernel_from_core(g, range(g.n), 2)
+        assert result.graph is g
+        assert result.stats["classes"] == 0
+
+
+class TestAnalysisMemory:
+    def test_first_analysis_memory_grows_linearly(self):
+        # one target-0 analysis at Z = V on grids of n = 10^4 and 4 * 10^4 at
+        # r = 2; a coverage bitmask per vertex of up to |Z| bits grows the
+        # peak about 13x, the r-ball lists and gain counters about 4x
+        peaks = {}
+        for side in (100, 200):
+            state = fresh_state(grid_graph(side, side), 2, k=side * side)
+            tracemalloc.start()
+            try:
+                find_redundant_vertex(state)
+                peaks[side] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] <= 5 * peaks[100], peaks
 
 
 class TestBuildKernelFromCore:

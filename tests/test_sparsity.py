@@ -5,7 +5,7 @@ import pytest
 import rdomkernel.sparsity
 from rdomkernel.generators import grid_graph, random_bounded_degree_graph, star_graph
 from rdomkernel.graphs import Graph, bfs_within, induced_subgraph, is_r_independent
-from rdomkernel.profiles import projection
+from rdomkernel.profiles import projection, projection_profile
 from rdomkernel.sparsity import (
     default_closure_threshold,
     quasi_wide_extract,
@@ -43,6 +43,17 @@ class TestQuasiWideExtract:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
             quasi_wide_extract(grid_graph(5, 5), range(25), -1, 1)
+
+    def test_rejects_out_of_range_targets(self):
+        g = grid_graph(5, 5)
+        with pytest.raises(IndexError, match="vertex -1 out of range for n=25"):
+            quasi_wide_extract(g, [3, -1, 7], 2, 1)
+        with pytest.raises(IndexError, match="vertex 25 out of range for n=25"):
+            quasi_wide_extract(g, [3, 25, 7], 2, 1)
+
+    def test_empty_targets_fall_short(self):
+        result = quasi_wide_extract(grid_graph(5, 5), [], 2, 1)
+        assert (result.separator, result.scattered, result.ok) == (frozenset(), frozenset(), False)
 
     def test_star_separates_center(self):
         g = star_graph(10)
@@ -172,6 +183,34 @@ class TestRClosure:
             assert (result.closure, result.added) == brute_r_closure(g, x, r, t)
             gained += bool(result.added)
         assert gained >= len(cases) - 2
+
+    def test_traces_are_the_final_closures_profiles(self, monkeypatch):
+        # one search when no hub joins; one more for the final closure when
+        # some do
+        rng = random.Random(36)
+        searched = rdomkernel.sparsity.target_traces
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return searched(*args, **kwargs)
+
+        monkeypatch.setattr(rdomkernel.sparsity, "target_traces", counting)
+        cases = [(linked_stars(6, 6), set(range(6)), 3, 2), (grid_graph(10, 9), {0, 44, 89}, 2, 2)]
+        for _ in range(120):
+            g = random_sparse_graph(rng, rng.randint(2, 14))
+            cases.append((g, {v for v in range(g.n) if rng.random() < 0.3}, rng.randint(1, 3), rng.randint(2, 5)))
+        gained = 0
+        for g, x, r, t in cases:
+            calls.clear()
+            result = r_closure(g, x, r, t)
+            assert len(calls) == 1 + bool(result.added)
+            gained += bool(result.added)
+            assert len(result.traces) == g.n
+            for u in range(g.n):
+                if u not in result.closure:
+                    assert result.traces[u] == projection_profile(g, u, result.closure, r).entries
+        assert 10 <= gained <= len(cases) - 10, gained
 
     def test_default_threshold_tracks_density(self):
         assert default_closure_threshold(Graph(3)) == 4
