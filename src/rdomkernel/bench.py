@@ -2,7 +2,8 @@
 
 A plan is a flat text file of key=value lines; blank lines separate runs.
 Each run names a generator family with its parameters plus the pipeline
-knobs (r, k, seed, target, verify). A key ``gen.<name>`` passes ``<name>``
+knobs (r, k, seed, target, verify); every value but the family is an ASCII
+decimal integer, as in edge lists. A key ``gen.<name>`` passes ``<name>``
 to the generator even when it is also a knob, as ``subdivision``'s
 ``gen.r`` is. Any other key is an error. Runs execute one after another in
 this process; output is one CSV row per run, in plan order.
@@ -14,7 +15,7 @@ import time
 
 from .domset import DominationInstance
 from .generators import FAMILY_TABLE, GenSpec, generate
-from .graphs import ParseError
+from .graphs import ParseError, _decimal
 from .kernel import kernelize
 
 CSV_HEADER = "family,n,m,r,k,z_final,kernel_n,reject,witness,wall_ms,seed"
@@ -78,7 +79,7 @@ def parse_plan(text: str) -> list[dict]:
             block[key] = value
         else:
             try:
-                block[key] = int(value)
+                block[key] = _decimal(value)
             except ValueError:
                 raise ParseError(f"value for {key!r} must be an integer, got {value!r}", idx) from None
     flush()

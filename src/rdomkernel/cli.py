@@ -19,7 +19,7 @@ from .domset import (
     is_dominator,
 )
 from .generators import FAMILIES, PARAMETERS, GenSpec, generate
-from .graphs import Graph, ParseError, SizeCapError, dump_edge_list, load_edge_list
+from .graphs import Graph, ParseError, SizeCapError, _decimal, dump_edge_list, load_edge_list
 from .kernel import VERIFY_CAP, annotate_to_plain, kernelize
 from .orderings import degeneracy_order, wcol_exact, wcol_of_order
 from .profiles import SetFamily, mu_hat_r, mu_r, nu_hat_r, nu_r, target_traces, vc_dimension
@@ -51,19 +51,23 @@ def _write_text(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _read_vertex_set(spec: str, g: Graph, default_seed: int) -> set[int]:
-    """Either a file of whitespace-separated vertex ids, or random:<size>:<seed>."""
+    """Either a file of whitespace-separated vertex ids, or random:<size>:<seed>;
+    ids, size and seed are ASCII decimal integers, as in edge lists."""
     if spec.startswith("random:"):
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ParseError(f"expected random:<size>[:<seed>], got {spec!r}")
         try:
-            size = int(parts[1])
-            seed = int(parts[2]) if len(parts) == 3 else default_seed
+            size = _decimal(parts[1])
+            seed = _decimal(parts[2]) if len(parts) == 3 else default_seed
         except ValueError:
             raise ParseError(f"non-integer field in {spec!r}") from None
         if not 0 <= size <= g.n:
@@ -75,7 +79,7 @@ def _read_vertex_set(spec: str, g: Graph, default_seed: int) -> set[int]:
     except OSError as exc:
         raise ParseError(f"cannot read {spec}: {exc}") from None
     try:
-        members = {int(tok) for tok in tokens}
+        members = set(map(_decimal, tokens))
     except ValueError:
         raise ParseError(f"non-integer vertex id in {spec}") from None
     for v in members:

@@ -17,7 +17,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeCapError, bounded_bfs, greedy_scattered, multi_source_within
+from .graphs import Graph, SizeCapError, bounded_bfs, check_vertices, greedy_scattered, multi_source_within
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,7 @@ class DominatorResult:
 def is_dominator(inst: DominationInstance, d) -> bool:
     """True iff every dominatee is within distance r of some vertex of d."""
     chosen = set(d)
-    for v in chosen:
-        if not 0 <= v < inst.g.n:
-            raise IndexError(f"vertex {v} out of range for n={inst.g.n}")
+    check_vertices(inst.g, chosen)
     if not inst.z:
         return True
     if not chosen:

@@ -284,6 +284,22 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_vertices(g: Graph, vertices) -> None:
+    """IndexError unless every id of the collection ``vertices`` is a vertex
+    of g; it names the lowest negative id, or else the highest id >= n.
+    One min and one max: a caller holding sorted ids passes only the ends."""
+    if vertices:
+        lo = min(vertices)
+        if lo < 0 or max(vertices) >= g.n:
+            raise IndexError(f"vertex {lo if lo < 0 else max(vertices)} out of range for n={g.n}")
+
+
+def check_radius(r: int) -> None:
+    """ValueError for a negative radius."""
+    if r < 0:
+        raise ValueError(f"radius must be non-negative, got {r}")
+
+
 def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
     """Distances from ``source`` up to radius ``r`` over paths whose interior
     avoids ``stop``.
@@ -293,8 +309,8 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
     member of a target set, with the whole set as ``stop``, follows exactly
     the paths that avoid every other target. Vertices not reached are
     absent. No argument checks: this is the shared loop behind every
-    single-source radius query, and the public callers validate their own
-    inputs.
+    single-source radius query, and the public callers validate their
+    inputs with :func:`check_vertices` and :func:`check_radius`.
     """
     adj = g.adj
     dist = {source: 0}
@@ -323,25 +339,19 @@ def bfs_within(g: Graph, source: int, r: int) -> dict[int, int]:
 
     Vertices farther than r are absent from the map (their distance is INF).
     """
-    if not 0 <= source < g.n:
-        raise IndexError(f"source {source} out of range for n={g.n}")
-    if r < 0:
-        raise ValueError("radius must be non-negative")
+    check_vertices(g, (source,))
+    check_radius(r)
     return bounded_bfs(g, source, r)
 
 
 def multi_source_within(g: Graph, sources, r: int) -> dict[int, int]:
     """Distances up to r from the nearest of several sources."""
-    if r < 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
+    frontier = sorted(set(sources))
+    if frontier:
+        check_vertices(g, (frontier[0], frontier[-1]))
     adj = g.adj
-    dist: dict[int, int] = {}
-    frontier = []
-    for s in sorted(set(sources)):
-        if not 0 <= s < g.n:
-            raise IndexError(f"source {s} out of range for n={g.n}")
-        dist[s] = 0
-        frontier.append(s)
+    dist = dict.fromkeys(frontier, 0)
     d = 0
     while frontier and d < r:
         d += 1
@@ -379,8 +389,7 @@ def shortest_path(g: Graph, u: int, v: int, r: int) -> list[int] | None:
     Deterministic tie-break: each step back from v takes the lowest-id
     neighbor one level closer to u.
     """
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range for n={g.n}")
+    check_vertices(g, (v,))
     dist = bfs_within(g, u, r)
     if v not in dist:
         return None
@@ -399,9 +408,8 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by s, with ids remapped to 0..|s|-1 in ascending
     order of the original ids. When s is all of V, g itself is returned."""
     to_orig = tuple(sorted(set(s)))
-    if to_orig and not (0 <= to_orig[0] and to_orig[-1] < g.n):
-        bad = to_orig[0] if to_orig[0] < 0 else to_orig[-1]
-        raise IndexError(f"vertex {bad} out of range for n={g.n}")
+    if to_orig:
+        check_vertices(g, (to_orig[0], to_orig[-1]))
     to_sub = {old: new for new, old in enumerate(to_orig)}
     if len(to_orig) == g.n:
         # s is all of V: the identity map, and g (immutable) is its own copy

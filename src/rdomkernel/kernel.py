@@ -43,7 +43,7 @@ from .domset import (
     greedy_scattered_lower_bound,
     is_dominator,
 )
-from .graphs import Graph, SubgraphMap, bounded_bfs, induced_subgraph
+from .graphs import Graph, SubgraphMap, bounded_bfs, check_vertices, induced_subgraph
 # distance_profile and projection_profile define the keys the pipeline
 # computes in bulk; they stay importable here, where the benchmark's
 # tracer looks up the pipeline's boundaries
@@ -366,9 +366,7 @@ def annotate_to_plain(g_prime: Graph, z, r: int) -> Graph:
     if r < 1:
         raise ValueError(f"gadget radius must be at least 1, got {r}")
     zf = frozenset(z)
-    for v in zf:
-        if not 0 <= v < g_prime.n:
-            raise IndexError(f"vertex {v} out of range for n={g_prime.n}")
+    check_vertices(g_prime, zf)
     n = g_prime.n
     edges = list(g_prime.edges())
     w = n

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeCapError, bounded_bfs
+from .graphs import Graph, SizeCapError, bounded_bfs, check_radius, check_vertices
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,6 @@ class Ordering:
         return len(self.position)
 
 
-def _check_radius(r: int):
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
-
-
 def _check_order(g: Graph, order: Ordering):
     if len(order) != g.n:
         raise ValueError(f"order has {len(order)} vertices, graph has {g.n}")
@@ -80,8 +75,9 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
     on the best walk-minimum seen; a state is re-expanded only when its
     path minimum strictly improves. Exponential in r only.
     """
-    _check_radius(r)
+    check_radius(r)
     _check_order(g, order)
+    check_vertices(g, (v,))
     pos = order.position
     found = {v}
     best: dict[tuple[int, int], int] = {(v, r): pos[v]}
@@ -111,7 +107,7 @@ def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:
     vertex it reaches. Holds all the sets, O(sum of |WReach_r|) memory;
     :func:`wcol_of_order` needs only their sizes.
     """
-    _check_radius(r)
+    check_radius(r)
     _check_order(g, order)
     result: list[set[int]] = [set() for _ in range(g.n)]
     swept: set[int] = set()
@@ -129,7 +125,7 @@ def wcol_of_order(g: Graph, order: Ordering, r: int) -> int:
     vertices not yet swept, with a counter per vertex in place of its set:
     O(n) memory however large the sets grow.
     """
-    _check_radius(r)
+    check_radius(r)
     _check_order(g, order)
     count = [0] * g.n
     swept: set[int] = set()
@@ -181,7 +177,7 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
     known value is dead. Factorial worst case, guarded by ``cap``. The
     witness is the lexicographically first optimal order sequence.
     """
-    _check_radius(r)
+    check_radius(r)
     if g.n > cap:
         raise SizeCapError(f"wcol_exact limited to n <= {cap}, got n={g.n}")
     n = g.n

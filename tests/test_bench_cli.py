@@ -290,6 +290,41 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"input error: {message}\n"
+        # vertex sets, random: specs and plan values follow the same rule
+        grid = tmp_path / "grid.edges"
+        assert main(["gen", "grid", "--w", "5", "--h", "5", "--out", str(grid)]) == 0
+        vertices = tmp_path / "set.txt"
+        vertices.write_text("3 1_0\n")
+        plan = tmp_path / "plan.txt"
+        plan.write_text("family=path\nn=1_0\nr=1\nk=2\n")
+        for argv, message in (
+            (["qw", "--graph", str(grid), "--r", "1", "--set", str(vertices), "--m", "2"],
+             f"non-integer vertex id in {vertices}"),
+            (["complexity", "--graph", str(grid), "--r", "1", "--set", "random:1_0:\u0663", "--metric", "nu"],
+             "non-integer field in 'random:1_0:\u0663'"),
+            (["closure", "--graph", str(grid), "--r", "1", "--set", "random:\u0663"],
+             "non-integer field in 'random:\u0663'"),
+            (["bench", "--plan", str(plan)], "line 2: value for 'n' must be an integer, got '1_0'"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {message}\n"
+        with pytest.raises(ParseError, match="value for 'k' must be an integer, got '\u0663'"):
+            parse_plan("family=path\nn=5\nr=1\nk=\u0663\n")
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.edges"
+        assert main(["gen", "grid", "--w", "3", "--h", "3", "--out", str(grid)]) == 0
+        missing = tmp_path / "missing" / "x"
+        assert main(["gen", "path", "--n", "5", "--out", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: cannot write {missing}: ")
+        for option in ("--out", "--zout", "--stats"):
+            argv = ["kernelize", "--graph", str(grid), "--r", "1", "--k", "9", "--target", "0"]
+            argv += [flag + "=" + str(tmp_path / flag.strip("-")) for flag in ("--out", "--zout", "--stats")]
+            argv.append(f"{option}={missing}")
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"input error: cannot write {missing}: ")
 
     def test_bad_radius_exits_2(self, tmp_path, capsys):
         grid = tmp_path / "grid.edges"
@@ -298,6 +333,8 @@ class TestCli:
             (["wcol", "--r", "-1"], "radius must be non-negative, got -1"),
             (["wcol", "--r", "-1", "--exact"], "radius must be non-negative, got -1"),
             (["qw", "--r", "-1", "--set", "random:10:1", "--m", "2"], "radius must be non-negative, got -1"),
+            (["complexity", "--r", "-1", "--set", "random:10:1", "--metric", "mu"], "radius must be non-negative, got -1"),
+            (["closure", "--r", "-1", "--set", "random:10:1"], "radius must be non-negative, got -1"),
             (["gadget", "--r", "0", "--z", "all"], "gadget radius must be at least 1, got 0"),
             (["gadget", "--r", "-1", "--z", "all"], "gadget radius must be at least 1, got -1"),
         ):

@@ -53,6 +53,11 @@ class TestInstance:
             DominationInstance(path(3), frozenset({0, 3, 1}), 1)
         with pytest.raises(ValueError, match="dominatee 0 out of range for n=0"):
             DominationInstance(Graph(0), frozenset({0}), 1)
+        # a candidate dominator is a set of vertices: IndexError
+        inst = DominationInstance(path(3), frozenset({0}), 1)
+        for bad in (-1, 3):
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):
+                is_dominator(inst, {0, bad})
 
     def test_empty_and_full_sets_pass(self):
         assert DominationInstance(path(3), frozenset(), 1).z == frozenset()

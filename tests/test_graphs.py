@@ -20,6 +20,7 @@ from rdomkernel.graphs import (
     induced_subgraph,
     is_r_independent,
     load_edge_list,
+    multi_source_within,
     shortest_path,
 )
 
@@ -264,6 +265,34 @@ class TestBfsWithin:
     def test_source_out_of_range(self):
         with pytest.raises(IndexError):
             bfs_within(path(3), 7, 1)
+        # every vertex argument of this module: -1 must not stand for n-1
+        g = path(3)
+        for bad in (-1, 3):
+            for call in (
+                lambda: bfs_within(g, bad, 1),
+                lambda: multi_source_within(g, [0, bad], 1),
+                lambda: shortest_path(g, bad, 0, 1),
+                lambda: shortest_path(g, 0, bad, 1),
+                lambda: induced_subgraph(g, {0, bad}),
+            ):
+                with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):
+                    call()
+        # the lowest negative id is named first, else the highest one
+        with pytest.raises(IndexError, match="vertex -2 out of range for n=3"):
+            multi_source_within(g, [5, -1, -2], 1)
+        with pytest.raises(IndexError, match="vertex 5 out of range for n=3"):
+            induced_subgraph(g, {4, 0, 5})
+
+    def test_negative_radius(self):
+        g = path(3)
+        for call in (
+            lambda: bfs_within(g, 0, -1),
+            lambda: multi_source_within(g, [0], -1),
+            lambda: multi_source_within(g, [], -1),
+            lambda: shortest_path(g, 0, 2, -1),
+        ):
+            with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+                call()
 
     def test_matches_all_pairs_oracle(self):
         rng = random.Random(20)

@@ -506,6 +506,11 @@ class TestAnnotateToPlain:
             with pytest.raises(ValueError, match=f"radius must be at least 1, got {r}"):
                 annotate_to_plain(path_graph(3), {0}, r)
 
+    def test_rejects_out_of_range_dominatees(self):
+        for bad in (-1, 3):
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):
+                annotate_to_plain(path_graph(3), {0, bad}, 1)
+
     def test_duality_fuzz(self):
         rng = random.Random(52)
         for _ in range(30):

@@ -61,6 +61,16 @@ class TestNegativeRadius:
                 call()
 
 
+class TestVertexRange:
+    def test_wreach_rejects_a_bad_vertex(self):
+        # -1 must not stand for vertex n-1
+        g = path(5)
+        order = degeneracy_order(g)
+        for bad in (-1, 5):
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=5"):
+                wreach(g, order, bad, 2)
+
+
 class TestOrderLength:
     def test_every_entry_point_rejects_a_wrong_length(self):
         g = path(4)

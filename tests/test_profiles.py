@@ -18,6 +18,7 @@ from rdomkernel.profiles import (
     projection,
     projection_profile,
     sauer_shelah_bound,
+    target_traces,
     vc_dimension,
 )
 
@@ -178,16 +179,26 @@ class TestCounters:
             assert mu_r(g, a, r) <= mu_hat_r(g, a, r)
 
     def test_out_of_range_target_raises(self):
-        # a target of -1 must not stand for vertex n-1
-        for counter in COUNTERS.values():
-            for bad in (-1, 3):
-                with pytest.raises(IndexError):
-                    counter(path(3), {0, bad}, 1)
+        # a target or a source of -1 must not stand for vertex n-1
+        g = path(3)
+        for bad in (-1, 3):
+            calls = [lambda counter=counter: counter(g, {0, bad}, 1) for counter in COUNTERS.values()]
+            calls += [
+                lambda: target_traces(g, {0, bad}, 1),
+                lambda: projection(g, bad, {0}, 2),
+                lambda: projection_profile(g, bad, {0}, 2),
+                lambda: decode_projection_via_layers(g, {0}, 2, bad),
+            ]
+            for call in calls:
+                with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):
+                    call()
 
     def test_negative_radius_raises(self):
-        for counter in COUNTERS.values():
-            with pytest.raises(ValueError):
-                counter(path(3), {0}, -1)
+        calls = [lambda counter=counter: counter(path(3), {0}, -1) for counter in COUNTERS.values()]
+        calls.append(lambda: target_traces(path(3), set(), -1))
+        for call in calls:
+            with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+                call()
 
     def test_match_definitions_on_tie_heavy_graphs(self):
         rng = random.Random(10)

@@ -41,15 +41,27 @@ def scattered_in_deleted_graph(g, result, r):
 
 class TestQuasiWideExtract:
     def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
-            quasi_wide_extract(grid_graph(5, 5), range(25), -1, 1)
+        g = grid_graph(5, 5)
+        for call in (
+            lambda: quasi_wide_extract(g, range(25), -1, 1),
+            lambda: short_paths_closure(g, {0, 7}, -1),
+            # an empty X is no excuse for a bad radius
+            lambda: short_paths_closure(g, set(), -1),
+            lambda: r_closure(g, {0, 7}, -1, 4),
+        ):
+            with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+                call()
 
     def test_rejects_out_of_range_targets(self):
         g = grid_graph(5, 5)
-        with pytest.raises(IndexError, match="vertex -1 out of range for n=25"):
-            quasi_wide_extract(g, [3, -1, 7], 2, 1)
-        with pytest.raises(IndexError, match="vertex 25 out of range for n=25"):
-            quasi_wide_extract(g, [3, 25, 7], 2, 1)
+        for bad in (-1, 25):
+            for call in (
+                lambda: quasi_wide_extract(g, [3, bad, 7], 2, 1),
+                lambda: short_paths_closure(g, [3, bad, 7], 2),
+                lambda: r_closure(g, [3, bad, 7], 2, 4),
+            ):
+                with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=25"):
+                    call()
 
     def test_empty_targets_fall_short(self):
         result = quasi_wide_extract(grid_graph(5, 5), [], 2, 1)
