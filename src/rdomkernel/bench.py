@@ -43,12 +43,9 @@ def parse_plan(text: str) -> list[dict]:
     def flush():
         if not block:
             return
-        if "family" not in block:
-            raise ParseError("run block missing 'family'", block_line)
-        if "r" not in block:
-            raise ParseError("run block missing 'r'", block_line)
-        if "k" not in block:
-            raise ParseError("run block missing 'k'", block_line)
+        for key in ("family", "r", "k"):
+            if key not in block:
+                raise ParseError(f"run block missing {key!r}", block_line)
         family = FAMILY_TABLE.get(block["family"])
         if family is None:
             raise ParseError(f"unknown family {block['family']!r}", block_line)

@@ -23,7 +23,7 @@ from .graphs import Graph, ParseError, SizeCapError, _decimal, dump_edge_list, l
 from .kernel import VERIFY_CAP, annotate_to_plain, kernelize
 from .orderings import degeneracy_order, wcol_exact, wcol_of_order
 from .profiles import SetFamily, mu_hat_r, mu_r, nu_hat_r, nu_r, target_traces, vc_dimension
-from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure
+from .sparsity import default_closure_threshold, default_separator_budget, quasi_wide_extract, r_closure
 
 
 class UsageError(Exception):
@@ -95,28 +95,27 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_complexity(args) -> int:
-    g = _read_graph(args.graph)
+def _trace_vc(g: Graph, a, r: int, cap: int) -> int:
+    # vc of the neighborhood traces on A
+    index = {v: i for i, v in enumerate(sorted(a))}
+    traces = {frozenset(index[x] for x in trace) for trace in target_traces(g, a, r)}
+    return vc_dimension(SetFamily.from_sets(len(a), traces), cap=cap)
+
+
+# each --metric choice and what computes it from (g, A, r, cap)
+METRICS = {"nu": nu_r, "nuhat": nu_hat_r, "mu": mu_r, "muhat": mu_hat_r, "vc": _trace_vc}
+
+
+def _cmd_complexity(args, g: Graph) -> int:
     a = _read_vertex_set(args.set, g, args.seed)
-    if args.metric == "nu":
-        value = nu_r(g, a, args.r, cap=args.cap)
-    elif args.metric == "nuhat":
-        value = nu_hat_r(g, a, args.r, cap=args.cap)
-    elif args.metric == "mu":
-        value = mu_r(g, a, args.r, cap=args.cap)
-    elif args.metric == "muhat":
-        value = mu_hat_r(g, a, args.r, cap=args.cap)
-    else:  # vc of the neighborhood traces on A
-        index = {v: i for i, v in enumerate(sorted(a))}
-        traces = {frozenset(index[x] for x in trace) for trace in target_traces(g, a, args.r)}
-        value = vc_dimension(SetFamily.from_sets(len(a), traces), cap=args.vc_cap)
+    cap = args.vc_cap if args.metric == "vc" else args.cap
+    value = METRICS[args.metric](g, a, args.r, cap)
     print("graph,n,m,a,r,metric,value")
     print(f"{args.graph},{g.n},{g.m},{len(a)},{args.r},{args.metric},{value}")
     return 0
 
 
-def _cmd_wcol(args) -> int:
-    g = _read_graph(args.graph)
+def _cmd_wcol(args, g: Graph) -> int:
     heuristic = wcol_of_order(g, degeneracy_order(g), args.r)
     exact = ""
     if args.exact:
@@ -126,12 +125,11 @@ def _cmd_wcol(args) -> int:
     return 0
 
 
-def _cmd_qw(args) -> int:
-    g = _read_graph(args.graph)
+def _cmd_qw(args, g: Graph) -> int:
     a = _read_vertex_set(args.set, g, args.seed)
-    result = quasi_wide_extract(g, a, args.r, args.m, s_max=args.smax)
+    smax = args.smax if args.smax is not None else default_separator_budget(args.r)
+    result = quasi_wide_extract(g, a, args.r, args.m, s_max=smax)
     print("graph,r,a,m,smax,separator,scattered,rounds,ok")
-    smax = args.smax if args.smax is not None else 10 * args.r
     print(
         f"{args.graph},{args.r},{len(a)},{args.m},{smax},"
         f"{len(result.separator)},{len(result.scattered)},{result.rounds},{int(result.ok)}"
@@ -139,8 +137,7 @@ def _cmd_qw(args) -> int:
     return 0
 
 
-def _cmd_closure(args) -> int:
-    g = _read_graph(args.graph)
+def _cmd_closure(args, g: Graph) -> int:
     x = _read_vertex_set(args.set, g, args.seed)
     t = args.t if args.t is not None else default_closure_threshold(g)
     result = r_closure(g, x, args.r, t)
@@ -149,10 +146,9 @@ def _cmd_closure(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    g = _read_graph(args.graph)
+def _cmd_solve(args, g: Graph) -> int:
     z = set(range(g.n)) if args.z == "all" else _read_vertex_set(args.z, g, args.seed)
-    inst = DominationInstance(g, frozenset(z), args.r, args.k)
+    inst = DominationInstance(g, frozenset(z), args.r)
     if args.method == "exact":
         result = exact_min_dominator(inst, cap=args.cap)
     else:
@@ -162,8 +158,7 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_kernelize(args) -> int:
-    g = _read_graph(args.graph)
+def _cmd_kernelize(args, g: Graph) -> int:
     inst = DominationInstance(g, frozenset(range(g.n)), args.r, args.k)
     result = kernelize(inst, target=args.target, verify=args.verify)
     stats_lines = ["stage,z,x,x_cl,classes,s,r_class,removed"]
@@ -189,8 +184,7 @@ def _cmd_kernelize(args) -> int:
     return 0
 
 
-def _cmd_gadget(args) -> int:
-    g = _read_graph(args.graph)
+def _cmd_gadget(args, g: Graph) -> int:
     z = set(range(g.n)) if args.z == "all" else _read_vertex_set(args.z, g, args.seed)
     _write_text(args.out, dump_edge_list(annotate_to_plain(g, z, args.r)))
     return 0
@@ -222,49 +216,41 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("complexity", help="profile-complexity counters")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
+    # the options of every subcommand that reads a graph
+    graph_args = _Parser(add_help=False)
+    graph_args.add_argument("--graph", required=True)
+    graph_args.add_argument("--r", type=int, required=True)
+
+    p = sub.add_parser("complexity", parents=[graph_args], help="profile-complexity counters")
     p.add_argument("--set", required=True, help="vertex file or random:<size>[:<seed>]")
-    p.add_argument("--metric", choices=("nu", "nuhat", "mu", "muhat", "vc"), required=True)
+    p.add_argument("--metric", choices=METRICS, required=True)
     p.add_argument("--cap", type=int, default=None, help="distinct-count cap")
     p.add_argument("--vc-cap", type=int, default=8)
     p.set_defaults(func=_cmd_complexity)
 
-    p = sub.add_parser("wcol", help="weak coloring numbers")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("wcol", parents=[graph_args], help="weak coloring numbers")
     p.add_argument("--exact", action="store_true")
     p.set_defaults(func=_cmd_wcol)
 
-    p = sub.add_parser("qw", help="scattered set behind a small separator")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("qw", parents=[graph_args], help="scattered set behind a small separator")
     p.add_argument("--set", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--smax", type=int, default=None)
     p.set_defaults(func=_cmd_qw)
 
-    p = sub.add_parser("closure", help="projection-bounded closure")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("closure", parents=[graph_args], help="projection-bounded closure")
     p.add_argument("--set", required=True)
     p.add_argument("--t", type=int, default=None)
     p.set_defaults(func=_cmd_closure)
 
-    p = sub.add_parser("solve", help="dominator computation")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
+    p = sub.add_parser("solve", parents=[graph_args], help="dominator computation")
     p.add_argument("--z", default="all", help="vertex file or 'all'")
     p.add_argument("--method", choices=("exact", "greedy", "bg"), default="bg",
                    help="exact branch and bound or greedy cover; bg is a synonym of greedy")
     p.add_argument("--cap", type=int, default=64)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("kernelize", help="run the full pipeline")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p = sub.add_parser("kernelize", parents=[graph_args], help="run the full pipeline")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--out", default="kernel.edges")
@@ -272,10 +258,8 @@ def build_parser() -> _Parser:
     p.add_argument("--stats", default="kernel.stats.csv")
     p.set_defaults(func=_cmd_kernelize)
 
-    p = sub.add_parser("gadget", help="annotated instance back to plain domination")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("gadget", parents=[graph_args], help="annotated instance back to plain domination")
     p.add_argument("--z", required=True, help="vertex file or 'all'")
-    p.add_argument("--r", type=int, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_gadget)
 
@@ -294,6 +278,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        if "graph" in args:
+            return args.func(args, _read_graph(args.graph))
         return args.func(args)
     except (ParseError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -56,8 +56,6 @@ def is_dominator(inst: DominationInstance, d) -> bool:
     check_vertices(inst.g, chosen)
     if not inst.z:
         return True
-    if not chosen:
-        return False
     reached = multi_source_within(inst.g, chosen, inst.r)
     return all(v in reached for v in inst.z)
 

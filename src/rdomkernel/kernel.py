@@ -102,12 +102,6 @@ class KernelResult:
     trace: tuple[RemovalStep, ...] = ()
 
 
-def _largest_class(groups: dict) -> tuple[tuple, list[int]]:
-    # (key, members) of the largest class; ties go to the class holding the
-    # smallest vertex.
-    return max(groups.items(), key=lambda item: (len(item[1]), -min(item[1])))
-
-
 def separator_profiles(g: Graph, separator, members, r: int) -> dict[int, tuple]:
     """``distance_profile(g, v, separator, r).entries`` for each v of
     ``members``, from one radius-r search per separator vertex."""
@@ -172,14 +166,15 @@ def find_redundant_vertex(
         subclasses: dict[tuple, list[int]] = {}
         for v in sorted(qw.scattered):
             subclasses.setdefault(keys[v], []).append(v)
-        _, exchange = _largest_class(subclasses)
+        # the largest subclass, ties to the smallest first member (they ascend)
+        exchange = max(subclasses.values(), key=lambda members: (len(members), -members[0]))
         # every member of kappa projects onto x_cl as the class key says
         buy = frozenset(a for a, _ in kappa_key) | qw.separator
         if len(exchange) < len(buy) + 2:
             continue
         steps.append(
             RemovalStep(
-                removed=min(exchange),
+                removed=exchange[0],
                 dominator=x,
                 closure=x_cl,
                 profile_class=frozenset(kappa),

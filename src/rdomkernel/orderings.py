@@ -99,40 +99,37 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
     return found
 
 
-def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:
-    """All weak-r-reachability sets at once.
-
-    Sweeps the vertices u in rank order; each costs one bounded search
-    over the vertices not yet swept, which adds u to the set of every
-    vertex it reaches. Holds all the sets, O(sum of |WReach_r|) memory;
-    :func:`wcol_of_order` needs only their sizes.
-    """
+def _sweep(g: Graph, order: Ordering, r: int):
+    """Yield (u, the x with u in WReach_r[x]) for every u in rank order:
+    one bounded search per vertex over the vertices not yet swept."""
     check_radius(r)
     _check_order(g, order)
-    result: list[set[int]] = [set() for _ in range(g.n)]
     swept: set[int] = set()
     for u in order.sequence():
-        for x in _reached_above(g, u, r, swept):
-            result[x].add(u)
+        yield u, _reached_above(g, u, r, swept)
         swept.add(u)
+
+
+def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:
+    """All weak-r-reachability sets at once, from the sweep: O(sum of
+    |WReach_r|) memory; :func:`wcol_of_order` needs only their sizes."""
+    result: list[set[int]] = [set() for _ in range(g.n)]
+    for u, reached in _sweep(g, order, r):
+        for x in reached:
+            result[x].add(u)
     return result
 
 
 def wcol_of_order(g: Graph, order: Ordering, r: int) -> int:
     """Largest weak-r-reachability set size under a fixed order.
 
-    The sweep of :func:`wreach_all`, one bounded search per vertex over the
-    vertices not yet swept, with a counter per vertex in place of its set:
-    O(n) memory however large the sets grow.
+    The sweep of :func:`wreach_all` with a counter per vertex in place of
+    its set: O(n) memory however large the sets grow.
     """
-    check_radius(r)
-    _check_order(g, order)
     count = [0] * g.n
-    swept: set[int] = set()
-    for u in order.sequence():
-        for x in _reached_above(g, u, r, swept):
+    for _, reached in _sweep(g, order, r):
+        for x in reached:
             count[x] += 1
-        swept.add(u)
     return max(count, default=0)
 
 
@@ -181,8 +178,6 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
     if g.n > cap:
         raise SizeCapError(f"wcol_exact limited to n <= {cap}, got n={g.n}")
     n = g.n
-    if n == 0:
-        return 0, Ordering(())
     heuristic = wcol_of_order(g, degeneracy_order(g), r)
     if heuristic == 1:
         # one is the floor (every vertex reaches itself), so any order wins

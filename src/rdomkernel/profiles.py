@@ -111,8 +111,12 @@ def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool =
     return [tuple(trace) for trace in traces]
 
 
-def _count_distinct(keys, cap: int | None) -> int:
-    distinct = set(keys)
+def _count_traces(g: Graph, a, r: int, cap: int | None, distances: bool, avoiding: bool) -> int:
+    # distinct traces over all vertices, or with ``avoiding`` over the
+    # vertices outside A, the only ones with a projection
+    targets = frozenset(a)
+    traces = target_traces(g, targets, r, distances=distances, avoiding=avoiding)
+    distinct = {traces[v] for v in range(g.n) if v not in targets} if avoiding else set(traces)
     if cap is not None and len(distinct) > cap:
         raise SizeCapError(f"distinct-profile count exceeded cap {cap}")
     return len(distinct)
@@ -121,29 +125,25 @@ def _count_distinct(keys, cap: int | None) -> int:
 def nu_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct sets ball(v, r) & A over all vertices v; one
     radius-r BFS per target."""
-    return _count_distinct(target_traces(g, a, r), cap)
+    return _count_traces(g, a, r, cap, distances=False, avoiding=False)
 
 
 def nu_hat_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct radius-r distance profiles on A over all
     vertices; one radius-r BFS per target."""
-    return _count_distinct(target_traces(g, a, r, distances=True), cap)
+    return _count_traces(g, a, r, cap, distances=True, avoiding=False)
 
 
 def mu_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct radius-r projections on A, over vertices outside
     A; one A-avoiding radius-r BFS per target."""
-    targets = frozenset(a)
-    traces = target_traces(g, targets, r, avoiding=True)
-    return _count_distinct((traces[v] for v in range(g.n) if v not in targets), cap)
+    return _count_traces(g, a, r, cap, distances=False, avoiding=True)
 
 
 def mu_hat_r(g: Graph, a, r: int, cap: int | None = None) -> int:
     """Number of distinct radius-r projection profiles on A, outside A;
     one A-avoiding radius-r BFS per target."""
-    targets = frozenset(a)
-    traces = target_traces(g, targets, r, distances=True, avoiding=True)
-    return _count_distinct((traces[v] for v in range(g.n) if v not in targets), cap)
+    return _count_traces(g, a, r, cap, distances=True, avoiding=True)
 
 
 def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
@@ -155,6 +155,7 @@ def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
     B = A x {0..r}.
     """
     targets = set(a)
+    check_vertices(g, targets)
     n = g.n
     edges = []
     for u in range(n):
@@ -208,22 +209,15 @@ def vc_dimension(family: SetFamily, cap: int = 12) -> int:
     members = family.members
     if not members:
         return -1
-    ground = range(family.ground_size)
     level: list[frozenset[int]] = [frozenset()]
     dim = 0
     while dim <= cap:
         prev = set(level)
         nxt = []
-        tried: set[frozenset[int]] = set()
+        # each candidate s | {e} with e > max(s) has exactly one parent s
         for s in level:
-            hi = max(s) if s else -1
-            for e in ground:
-                if e <= hi:
-                    continue
+            for e in range(max(s, default=-1) + 1, family.ground_size):
                 cand = s | {e}
-                if cand in tried:
-                    continue
-                tried.add(cand)
                 if any(cand - {y} not in prev for y in cand):
                     continue
                 if _is_shattered(cand, members):

@@ -29,6 +29,11 @@ class QwResult:
     ok: bool
 
 
+def default_separator_budget(r: int) -> int:
+    """Separator budget of :func:`quasi_wide_extract` when none is given."""
+    return 10 * r
+
+
 @dataclass(frozen=True)
 class ClosureResult:
     """Closure Y of X: outside Y, every radius-r projection onto Y is
@@ -50,7 +55,8 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
     small, move the vertex covering most of A - S within radius ceil(r/2)
     of g - S (lowest id on ties; only vertices that near A - S are scored)
     into the separator and retry. On an exhausted separator budget the
-    result carries the best (S, B) seen and ok=False.
+    result carries the best (S, B) seen and ok=False. Each round but the
+    last adds one vertex to S, so ``rounds`` is the final |S| + 1.
     """
     targets = set(a)
     check_vertices(g, targets)
@@ -58,22 +64,22 @@ def quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None) ->
     if m < 1:
         raise ValueError("target size must be at least 1")
     if s_max is None:
-        s_max = 10 * r
+        s_max = default_separator_budget(r)
+    if s_max < 0:
+        raise ValueError(f"separator budget must be non-negative, got {s_max}")
     half = (r + 1) // 2
     separator: set[int] = set()
     best_b: list[int] = []
     best_s: set[int] = set()
-    rounds = 0
     while True:
-        rounds += 1
         live = sorted(targets - separator)
         b = greedy_scattered(g, live, r, separator)
         if len(b) > len(best_b):
             best_b, best_s = b, set(separator)
         if len(b) >= m:
-            return QwResult(frozenset(separator), frozenset(b), rounds, True)
+            return QwResult(frozenset(separator), frozenset(b), len(separator) + 1, True)
         if len(separator) >= s_max or len(live) < m:
-            return QwResult(frozenset(best_s), frozenset(best_b), rounds, False)
+            return QwResult(frozenset(best_s), frozenset(best_b), len(separator) + 1, False)
         # scores over the vertices reached only; every live vertex reaches
         # itself, so a hub exists
         score: dict[int, int] = {}

@@ -36,6 +36,15 @@ class TestPlanParsing:
     def test_missing_required_key(self):
         with pytest.raises(ParseError):
             parse_plan("family=path\nn=5\nr=1\n")
+        for text, message in (
+            ("n=5\nr=1\nk=2\n", "line 1: run block missing 'family'"),
+            ("family=path\nn=5\nk=2\n", "line 1: run block missing 'r'"),
+            ("family=path\nn=5\nr=1\nk=2\n\nfamily=path\nn=5\nr=1\n", "line 6: run block missing 'k'"),
+            ("family=path\nn=\nr=1\nk=2\n", "line 2: empty key or value in 'n='"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_plan(text)
+            assert str(err.value) == message
 
     def test_bad_line_location(self):
         with pytest.raises(ParseError) as err:
@@ -110,6 +119,10 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "graph,n,m,a,r,metric,value"
         assert out[1].endswith("nu,8")
+        for metric, value in (("nuhat", 11), ("mu", 8), ("muhat", 8)):
+            assert main(["complexity", "--graph", str(graph_file), "--r", "1",
+                         "--set", str(set_file), "--metric", metric]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == f"{graph_file},11,12,3,1,{metric},{value}"
 
     def test_vc_matches_per_vertex_traces(self, tmp_path, capsys):
         graph_file = tmp_path / "g.edges"
@@ -159,8 +172,19 @@ class TestCli:
     def test_solve_line(self, tmp_path, capsys):
         graph_file = tmp_path / "p5.edges"
         graph_file.write_text("0 1\n1 2\n2 3\n3 4\n")
-        assert main(["solve", "--graph", str(graph_file), "--r", "1", "--method", "exact"]) == 0
-        assert capsys.readouterr().out.strip() == "size=2 valid=true optimal=true"
+        for method in (["--method", "exact"], [], ["--method", "greedy"], ["--method", "bg"]):
+            assert main(["solve", "--graph", str(graph_file), "--r", "1", *method]) == 0
+            assert capsys.readouterr().out.strip() == "size=2 valid=true optimal=true", method
+
+    def test_kernelize_rejection_line(self, tmp_path, capsys):
+        graph_file = tmp_path / "p20.edges"
+        assert main(["gen", "path", "--n", "20", "--out", str(graph_file)]) == 0
+        out = tmp_path / "k.edges"
+        zout = tmp_path / "k.z"
+        assert main(["kernelize", "--graph", str(graph_file), "--r", "1", "--k", "2", "--out", str(out),
+                     "--zout", str(zout), "--stats", str(tmp_path / "k.csv")]) == 0
+        assert capsys.readouterr().out == "verdict=rejected(2) witness=7\n"
+        assert not out.exists() and not zout.exists()
 
     def test_kernelize_outputs(self, tmp_path, capsys):
         graph_file = tmp_path / "star.edges"
@@ -237,6 +261,8 @@ class TestCli:
                      "--out", str(tmp_path / "k.edges"), "--zout", str(tmp_path / "k.z"),
                      "--stats", str(tmp_path / "k.csv")]) == 1
         assert main(["--workers", "2", "bench", "--plan", str(plan)]) == 1
+        # solve never read its budget
+        assert main(["solve", "--graph", str(graph_file), "--r", "1", "--k", "1"]) == 1
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "k.edges").exists()
 
@@ -312,6 +338,29 @@ class TestCli:
             assert captured.err == f"input error: {message}\n"
         with pytest.raises(ParseError, match="value for 'k' must be an integer, got '\u0663'"):
             parse_plan("family=path\nn=5\nr=1\nk=\u0663\n")
+
+    def test_bad_sets_plans_and_budgets_exit_2(self, tmp_path, capsys):
+        grid = tmp_path / "grid.edges"
+        assert main(["gen", "grid", "--w", "5", "--h", "5", "--out", str(grid)]) == 0
+        vertices = tmp_path / "set.txt"
+        vertices.write_text("3 25\n")
+        missing = tmp_path / "missing.txt"
+        for argv, message in (
+            (["closure", "--graph", str(grid), "--r", "1", "--set", "random:1:2:3"],
+             "expected random:<size>[:<seed>], got 'random:1:2:3'"),
+            (["closure", "--graph", str(grid), "--r", "1", "--set", "random:26"],
+             "sample size 26 out of range for n=25"),
+            (["closure", "--graph", str(grid), "--r", "1", "--set", str(vertices)],
+             "vertex 25 out of range for n=25"),
+            (["closure", "--graph", str(grid), "--r", "1", "--set", str(missing)], f"cannot read {missing}: "),
+            (["bench", "--plan", str(missing)], f"cannot read {missing}: "),
+            (["qw", "--graph", str(grid), "--r", "1", "--set", "random:5", "--m", "2", "--smax", "-1"],
+             "separator budget must be non-negative, got -1"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"input error: {message}"), argv
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         grid = tmp_path / "grid.edges"

@@ -188,6 +188,8 @@ class TestCounters:
                 lambda: projection(g, bad, {0}, 2),
                 lambda: projection_profile(g, bad, {0}, 2),
                 lambda: decode_projection_via_layers(g, {0}, 2, bad),
+                lambda: layered_graph(g, {bad}, 2),
+                lambda: decode_projection_via_layers(g, {bad}, 2, 1),
             ]
             for call in calls:
                 with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):

@@ -52,6 +52,10 @@ class TestQuasiWideExtract:
             with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
                 call()
 
+    def test_rejects_negative_budget(self):
+        with pytest.raises(ValueError, match="separator budget must be non-negative, got -1"):
+            quasi_wide_extract(grid_graph(5, 5), range(25), 2, 3, s_max=-1)
+
     def test_rejects_out_of_range_targets(self):
         g = grid_graph(5, 5)
         for bad in (-1, 25):
