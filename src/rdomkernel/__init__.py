@@ -38,7 +38,6 @@ from .kernel import (
     CoreState,
     CoreVerificationError,
     KernelResult,
-    Rejection,
     RemovalStep,
     annotate_to_plain,
     build_kernel_from_core,

@@ -8,6 +8,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -173,6 +174,15 @@ def _cmd_kernelize(args, g: Graph) -> int:
     if result.stats["verify"] == "skipped":
         print(f"verify: oracle skipped (n={g.n} > cap {VERIFY_CAP})", file=sys.stderr)
     if result.verdict != "kernel":
+        # no kernel: an earlier run's kernel must not stay beside these stats.
+        # Only a regular file that is not the input graph goes; "-", devices
+        # such as /dev/null, FIFOs and directories stay.
+        for path in (args.out, args.zout):
+            try:
+                if path != "-" and os.path.isfile(path) and not os.path.samefile(path, args.graph):
+                    os.remove(path)
+            except OSError as exc:
+                print(f"warning: cannot remove {path}: {exc}", file=sys.stderr)
         print(f"verdict={result.verdict} witness={len(result.witness)}")
         return 0
     _write_text(args.out, dump_edge_list(result.graph))
@@ -245,8 +255,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", parents=[graph_args], help="dominator computation")
     p.add_argument("--z", default="all", help="vertex file or 'all'")
-    p.add_argument("--method", choices=("exact", "greedy", "bg"), default="bg",
-                   help="exact branch and bound or greedy cover; bg is a synonym of greedy")
+    p.add_argument("--method", choices=("exact", "greedy"), default="greedy",
+                   help="exact branch and bound or greedy cover")
     p.add_argument("--cap", type=int, default=64)
     p.set_defaults(func=_cmd_solve)
 

@@ -54,8 +54,6 @@ def is_dominator(inst: DominationInstance, d) -> bool:
     """True iff every dominatee is within distance r of some vertex of d."""
     chosen = set(d)
     check_vertices(inst.g, chosen)
-    if not inst.z:
-        return True
     reached = multi_source_within(inst.g, chosen, inst.r)
     return all(v in reached for v in inst.z)
 
@@ -133,8 +131,6 @@ def greedy_dominator(
     result is the same without it. ``bg_approx_dominator`` is an alias."""
     if witness is None:
         witness = greedy_scattered_lower_bound(inst)
-    if not inst.z:
-        return DominatorResult(frozenset(), True, witness)
     chosen = _greedy_cover(inst)
     return DominatorResult(frozenset(chosen), len(chosen) == len(witness), witness)
 
@@ -155,8 +151,6 @@ def exact_min_dominator(inst: DominationInstance, cap: int = 64) -> DominatorRes
     if inst.g.n > cap:
         raise SizeCapError(f"exact solver limited to n <= {cap}, got n={inst.g.n}")
     witness = greedy_scattered_lower_bound(inst)
-    if not inst.z:
-        return DominatorResult(frozenset(), True, witness)
     zs, cover = _coverage(inst)
     nz = len(zs)
     full = (1 << nz) - 1

@@ -16,7 +16,9 @@ certifies a batch from every projection class: the classes depend on the
 dominator alone, so each one that passes the exchange test loses every
 member of its exchange class beyond |buy| + 1, and phase one removes them
 all before analysing again. Each removal still keeps its own recorded
-step, and the rejection route is checked once per analysis.
+step, and the rejection route is checked once per analysis. An analysis
+reads (G, Z, r) alone (:func:`find_redundant_vertex` analyses ``inst.z``);
+phase one keeps the core, the steps and, on rejection, ``state.witness``.
 
 Every search runs from the smaller side of its question. An analysis
 costs one radius-r search per dominatee and one per pick (the counter
@@ -73,21 +75,14 @@ class RemovalStep:
     buy: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Rejection:
-    """A scattered witness proving the budget k cannot suffice."""
-
-    witness: frozenset[int]
-
-
 @dataclass
 class CoreState:
-    """Problem state threaded through the core-shrinking loop."""
+    """What phase one produces: the core, one step per removal, and, when
+    the budget k cannot suffice, the scattered witness that proves it."""
 
-    inst: DominationInstance
     z: set[int]
     trace: list[RemovalStep] = field(default_factory=list)
-    rejection: Rejection | None = None
+    witness: frozenset[int] | None = None
     verify: str = "off"  # "off", "oracle", or "skipped" (n above the cap)
 
 
@@ -115,11 +110,11 @@ def separator_profiles(g: Graph, separator, members, r: int) -> dict[int, tuple]
 
 
 def find_redundant_vertex(
-    state: CoreState,
+    inst: DominationInstance,
     *,
     witness: frozenset[int] | None = None,
 ) -> tuple[RemovalStep, ...] | None:
-    """One exchange analysis of the current core: a step, with its
+    """One exchange analysis of the core ``inst.z``: a step, with its
     justification record, for every projection class it certifies, or
     ``None`` when it certifies none. The caller applies the removals.
 
@@ -136,18 +131,14 @@ def find_redundant_vertex(
     smallest member of its R. The classes depend on X alone, so removals
     from one class leave every other class, and X's domination of the
     core, intact. ``witness``, when given, is the scattered lower bound of
-    the current core, handed to the dominator so that it is not computed
-    again; the result is the same without it.
+    the core, handed to the dominator so that it is not computed again;
+    the result is the same without it.
     """
-    inst = state.inst
     g, r = inst.g, inst.r
-    z = frozenset(state.z)
-    if not z:
-        return None
-    x = bg_approx_dominator(replace(inst, z=z), witness=witness).dominator
+    x = bg_approx_dominator(inst, witness=witness).dominator
     closure = r_closure(g, x, 3 * r, default_closure_threshold(g))
     x_cl = closure.closure
-    outside = [u for u in sorted(z) if u not in x_cl]
+    outside = [u for u in sorted(inst.z) if u not in x_cl]
     if not outside:
         return None
     # for u outside x_cl its trace is projection_profile(g, u, x_cl, 3r).entries
@@ -212,8 +203,9 @@ def find_core(
 
     Each analysis first checks the rejection route: a scattered witness
     larger than the budget k proves no k-vertex dominator exists and
-    short-circuits (state.rejection is set). Otherwise one exchange
-    analysis runs (:func:`find_redundant_vertex`), and each step it returns
+    short-circuits (state.witness is set). Otherwise one exchange
+    analysis runs (:func:`find_redundant_vertex`, on the instance whose z
+    is the core that the lower bound read), and each step it returns
     certifies a batch, applied in step order: the members of the step's
     exchange class R are removed in ascending id while the rest of R keeps
     at least |buy| + 2 members (``step.buy``) and the core is above the
@@ -233,17 +225,18 @@ def find_core(
     if target is None:
         target = default_core_target(k)
     z: set[int] = set(range(g.n))
-    state = CoreState(inst, z)
+    state = CoreState(z)
     if verify:
         state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
     while True:
-        witness = greedy_scattered_lower_bound(replace(inst, z=frozenset(z)))
+        core = replace(inst, z=frozenset(z))
+        witness = greedy_scattered_lower_bound(core)
         if len(witness) > k:
-            state.rejection = Rejection(witness)
+            state.witness = witness
             return state
         if len(z) <= target:
             return state
-        steps = find_redundant_vertex(state, witness=witness)
+        steps = find_redundant_vertex(core, witness=witness)
         if steps is None:
             return state
         for step in steps:
@@ -317,18 +310,18 @@ def kernelize(
     verify: bool = False,
 ) -> KernelResult:
     """End-to-end: find a core (closing at :func:`default_closure_threshold`,
-    see :func:`find_core`), then build the kernel from it. Rejections
-    propagate with their witness; stats record every stage size and, as
+    see :func:`find_core`), then build the kernel from it. A rejected
+    instance returns ``state.witness``; stats record every stage size and, as
     ``stats["verify"]``, whether verification was off, ran the oracle, or
     was skipped because the instance exceeds :data:`VERIFY_CAP`."""
     state = find_core(inst, target=target, verify=verify)
-    if state.rejection is not None:
+    if state.witness is not None:
         stats = {
             "n": inst.g.n,
             "m": inst.g.m,
             "core": len(state.z),
             "removed": len(state.trace),
-            "witness": len(state.rejection.witness),
+            "witness": len(state.witness),
             "verify": state.verify,
         }
         return KernelResult(
@@ -336,7 +329,7 @@ def kernelize(
             graph=None,
             dominatees=None,
             idmap=None,
-            witness=state.rejection.witness,
+            witness=state.witness,
             stats=stats,
             trace=tuple(state.trace),
         )

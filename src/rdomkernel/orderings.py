@@ -179,9 +179,6 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
         raise SizeCapError(f"wcol_exact limited to n <= {cap}, got n={g.n}")
     n = g.n
     heuristic = wcol_of_order(g, degeneracy_order(g), r)
-    if heuristic == 1:
-        # one is the floor (every vertex reaches itself), so any order wins
-        return 1, Ordering.from_sequence(range(n))
     placed: set[int] = set()
     counts = [0] * n
     seq: list[int] = []

@@ -191,7 +191,7 @@ def _is_shattered(x: frozenset[int], members) -> bool:
         seen.add(x & f)
         if len(seen) == want:
             return True
-    return len(seen) == want
+    return False
 
 
 def vc_dimension(family: SetFamily, cap: int = 12) -> int:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 from rdomkernel.generators import grid_graph, spider_graph, star_graph
 from rdomkernel.graphs import Graph
-from rdomkernel.kernel import CoreState, find_redundant_vertex
+from rdomkernel.kernel import find_redundant_vertex
 
 INF = float("inf")
 
@@ -279,9 +280,8 @@ def one_removal_per_analysis_core(inst, target: int = 0) -> frozenset[int]:
     ``find_core``'s batching, not the analysis. It skips the rejection
     route, so give it a budget no scattered witness exceeds (k = n)."""
     z = set(range(inst.g.n))
-    state = CoreState(inst, z)
     while len(z) > target:
-        steps = find_redundant_vertex(state)
+        steps = find_redundant_vertex(replace(inst, z=frozenset(z)))
         if steps is None:
             break
         z.discard(steps[0].removed)

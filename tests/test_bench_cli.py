@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 from rdomkernel.bench import CSV_HEADER, format_row, parse_plan, run_bench
@@ -172,19 +175,42 @@ class TestCli:
     def test_solve_line(self, tmp_path, capsys):
         graph_file = tmp_path / "p5.edges"
         graph_file.write_text("0 1\n1 2\n2 3\n3 4\n")
-        for method in (["--method", "exact"], [], ["--method", "greedy"], ["--method", "bg"]):
+        for method in (["--method", "exact"], [], ["--method", "greedy"]):
             assert main(["solve", "--graph", str(graph_file), "--r", "1", *method]) == 0
             assert capsys.readouterr().out.strip() == "size=2 valid=true optimal=true", method
 
-    def test_kernelize_rejection_line(self, tmp_path, capsys):
-        graph_file = tmp_path / "p20.edges"
-        assert main(["gen", "path", "--n", "20", "--out", str(graph_file)]) == 0
-        out = tmp_path / "k.edges"
-        zout = tmp_path / "k.z"
-        assert main(["kernelize", "--graph", str(graph_file), "--r", "1", "--k", "2", "--out", str(out),
-                     "--zout", str(zout), "--stats", str(tmp_path / "k.csv")]) == 0
+    def test_kernelize_rejection_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "path", "--n", "20", "--out", "p20.edges"]) == 0
+        reject = ["kernelize", "--graph", "p20.edges", "--r", "1", "--k", "2"]
+        # an earlier run's kernel and dominatee files are removed
+        (tmp_path / "k.edges").write_text("p 5\n")
+        (tmp_path / "k.z").write_text("0\n")
+        assert main([*reject, "--out", "k.edges", "--zout", "k.z", "--stats", "k.csv"]) == 0
         assert capsys.readouterr().out == "verdict=rejected(2) witness=7\n"
-        assert not out.exists() and not zout.exists()
+        assert not (tmp_path / "k.edges").exists() and not (tmp_path / "k.z").exists()
+        assert (tmp_path / "k.csv").read_text() == "stage,z,x,x_cl,classes,s,r_class,removed\n"
+        # "-" is standard output, and a FIFO stands in for /dev/null: neither is removed
+        (tmp_path / "-").write_text("kept\n")
+        os.mkfifo(tmp_path / "sink")
+        assert main([*reject, "--out", "-", "--zout", "sink"]) == 0
+        assert (tmp_path / "-").read_text() == "kept\n"
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "sink").st_mode)
+        # the input graph is never removed, not even as the default --out
+        (tmp_path / "kernel.edges").write_bytes((tmp_path / "p20.edges").read_bytes())
+        assert main(["kernelize", "--graph", "kernel.edges", "--r", "1", "--k", "2"]) == 0
+        assert (tmp_path / "kernel.edges").read_bytes() == (tmp_path / "p20.edges").read_bytes()
+        # a file that cannot be removed is reported and the verdict stands
+        (tmp_path / "k.edges").write_text("p 5\n")
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        assert main([*reject, "--out", "k.edges"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("verdict=rejected(2) witness=7\n")
+        assert "warning: cannot remove k.edges" in captured.err
 
     def test_kernelize_outputs(self, tmp_path, capsys):
         graph_file = tmp_path / "star.edges"
@@ -263,6 +289,8 @@ class TestCli:
         assert main(["--workers", "2", "bench", "--plan", str(plan)]) == 1
         # solve never read its budget
         assert main(["solve", "--graph", str(graph_file), "--r", "1", "--k", "1"]) == 1
+        # bg was a synonym of greedy
+        assert main(["solve", "--graph", str(graph_file), "--r", "1", "--method", "bg"]) == 1
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "k.edges").exists()
 

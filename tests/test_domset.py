@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rdomkernel.domset import (
     DominationInstance,
+    DominatorResult,
     _coverage,
     _greedy_cover,
     bg_approx_dominator,
@@ -213,6 +214,9 @@ class TestBgApproxDominator:
         result = bg_approx_dominator(DominationInstance(path(3), frozenset(), 1))
         assert result.dominator == frozenset()
         assert result.optimal
+        assert greedy_dominator(DominationInstance(path(3), frozenset(), 1)) == DominatorResult(
+            frozenset(), True, frozenset()
+        )
 
     def test_grid_within_log_factor(self):
         g = grid_graph(6, 6)

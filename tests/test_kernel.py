@@ -13,7 +13,6 @@ from rdomkernel.domset import (
 from rdomkernel.generators import cycle_graph, grid_graph, path_graph, spider_graph, star_graph
 from rdomkernel.graphs import induced_subgraph, is_r_independent
 from rdomkernel.kernel import (
-    CoreState,
     annotate_to_plain,
     build_kernel_from_core,
     find_core,
@@ -35,10 +34,6 @@ from .oracles import (
 
 def full_instance(g, r, k=0):
     return DominationInstance(g, frozenset(range(g.n)), r, k)
-
-
-def fresh_state(g, r, k=0):
-    return CoreState(full_instance(g, r, k), set(range(g.n)))
 
 
 def core_property_holds(g, z, r):
@@ -75,27 +70,36 @@ def check_trace_step(g, r, step, checked_closures):
 class TestFindRedundantVertex:
     def test_big_star_drops_a_leaf(self):
         g = star_graph(50)
-        steps = find_redundant_vertex(fresh_state(g, 1, 1))
+        steps = find_redundant_vertex(full_instance(g, 1, 1))
         assert steps is not None
         assert 1 <= steps[0].removed <= 50
         # same structure at oracle scale: the shrunk set is still a core
         small = star_graph(15)
-        small_steps = find_redundant_vertex(fresh_state(small, 1, 1))
+        small_steps = find_redundant_vertex(full_instance(small, 1, 1))
         assert small_steps is not None
         assert core_property_holds(small, set(range(16)) - {small_steps[0].removed}, 1)
 
     def test_tiny_core_has_nothing_to_remove(self):
         g = path_graph(6)
-        state = CoreState(full_instance(g, 1), {0, 5})
-        assert find_redundant_vertex(state) is None
+        for z in ({0, 5}, set()):
+            assert find_redundant_vertex(DominationInstance(g, frozenset(z), 1)) is None
+
+    def test_analysis_depends_on_the_instance_alone(self):
+        # the analysis keeps no state between calls: the same core gives the same steps
+        for g, r in [(star_graph(20), 1), (linked_stars(6, 6), 1), (spider_graph(12, 2), 2)]:
+            inst = DominationInstance(g, frozenset(range(1, g.n)), r, g.n)
+            first = find_redundant_vertex(inst)
+            assert first is not None
+            assert all(step.exchange_class <= inst.z for step in first)
+            assert find_redundant_vertex(inst) == first
 
     def test_spider_drops_a_leg_vertex(self):
         g = spider_graph(30, 2)
-        steps = find_redundant_vertex(fresh_state(g, 2, 5))
+        steps = find_redundant_vertex(full_instance(g, 2, 5))
         assert steps is not None
         assert steps[0].removed != 0
         small = spider_graph(8, 2)
-        small_steps = find_redundant_vertex(fresh_state(small, 2, 5))
+        small_steps = find_redundant_vertex(full_instance(small, 2, 5))
         assert small_steps is not None
         z_after = set(range(small.n)) - {small_steps[0].removed}
         assert core_property_holds(small, z_after, 2)
@@ -126,27 +130,27 @@ class TestFindCore:
     def test_star_shrinks_to_target(self):
         g = star_graph(50)
         state = find_core(full_instance(g, 1, 1), target=5)
-        assert state.rejection is None
+        assert state.witness is None
         assert len(state.z) <= 5
         assert len(state.trace) == g.n - len(state.z)
 
     def test_verified_star_run(self):
         g = star_graph(15)
         state = find_core(full_instance(g, 1, 1), target=3, verify=True)
-        assert state.rejection is None
+        assert state.witness is None
         assert len(state.trace) > 0
 
     def test_zero_budget_rejects_immediately(self):
         g = path_graph(3)
         state = find_core(full_instance(g, 1, 0))
-        assert state.rejection is not None
-        assert len(state.rejection.witness) == 1
+        assert state.witness is not None
+        assert len(state.witness) == 1
 
     def test_p20_rejection_witness(self):
         g = path_graph(20)
         state = find_core(full_instance(g, 1, 2))
-        assert state.rejection is not None
-        witness = sorted(state.rejection.witness)
+        assert state.witness is not None
+        witness = sorted(state.witness)
         assert len(witness) >= 3
         dist = floyd_warshall(g)
         for i, u in enumerate(witness):
@@ -221,7 +225,7 @@ class TestEveryClassCertified:
         ]
         many = 0
         for g, r in cases:
-            steps = find_redundant_vertex(fresh_state(g, r, k=g.n))
+            steps = find_redundant_vertex(full_instance(g, r, k=g.n))
             assert steps
             many += len(steps) > 1
             classes = [step.profile_class for step in steps]
@@ -243,7 +247,7 @@ class TestEveryClassCertified:
     def test_a_smaller_class_passes_where_the_largest_fails(self):
         for path_len, leaves in [(6, 5), (9, 8)]:
             g = fan_and_star(path_len, leaves)
-            steps = find_redundant_vertex(fresh_state(g, 1, k=g.n))
+            steps = find_redundant_vertex(full_instance(g, 1, k=g.n))
             closure = steps[0].closure
             classes: dict[tuple, set] = {}
             for u in range(g.n):
@@ -368,10 +372,10 @@ class TestAnalysisMemory:
         # peak about 13x, the r-ball lists and gain counters about 4x
         peaks = {}
         for side in (100, 200):
-            state = fresh_state(grid_graph(side, side), 2, k=side * side)
+            inst = full_instance(grid_graph(side, side), 2, k=side * side)
             tracemalloc.start()
             try:
-                find_redundant_vertex(state)
+                find_redundant_vertex(inst)
                 peaks[side] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

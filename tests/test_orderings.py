@@ -193,6 +193,12 @@ class TestWcolExact:
     def test_single_edge(self):
         assert wcol_exact(Graph(2, [(0, 1)]), 1)[0] == 2
 
+    def test_floor_of_one_gives_the_identity_order(self):
+        # an edgeless graph, and any graph at r = 0, reaches only itself
+        identity = Ordering.from_sequence(range(4))
+        assert wcol_exact(Graph(4), 2) == (1, identity)
+        assert wcol_exact(path(4), 0) == (1, identity)
+
     def test_cap(self):
         with pytest.raises(SizeCapError):
             wcol_exact(Graph(10), 1)
