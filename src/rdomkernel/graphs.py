@@ -14,7 +14,7 @@ per line. The line loop stays because it is the only path for
 comments, blank lines, tabs, CRLF and a header placed elsewhere, the only
 place a parse error is raised, and the reference the canonical path is
 tested against. Both paths, and ``Graph(n, edges)``, build adjacency with
-one builder.
+one builder, which holds one int object per vertex id.
 """
 
 from __future__ import annotations
@@ -73,7 +73,10 @@ class Graph:
     shared empty tuple. Each list is then sorted and deduplicated, unless
     the edges came as strictly increasing pairs (u, v) with u < v, as
     :func:`dump_edge_list` writes them: the lists are then sorted and
-    duplicate-free already.
+    duplicate-free already. The rows hold one int object per vertex id,
+    whatever objects the edges came as (decoded text, arithmetic in a
+    generator, a remapped subgraph), so a neighbour entry costs its 8-byte
+    slot rather than a fresh int per edge end.
 
     Immutable after construction; all queries are read-only and safe to
     share across workers.
@@ -105,20 +108,24 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {u}")
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        # every row holds the one int object of each vertex id, not the
+        # decoded or computed objects of us and vs, one per edge end
+        ids = list(range(top))
         rows: list[list[int]] = [[] for _ in range(top)]
         for u, v in zip(us, vs):
-            rows[u].append(v)
-            rows[v].append(u)
-        if all(map(lt, us, vs)) and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None)))):
-            # each row got its smaller neighbours, ascending, then its larger ones
-            adj = map(tuple, rows)
-        else:
-            adj = (tuple(sorted(set(row))) for row in rows)
-        if top < n:
-            # the isolated vertices above the largest endpoint share one
-            # empty tuple: a declared count costs 8 bytes per vertex
-            adj = chain(adj, repeat((), n - top))
-        self.adj = tuple(adj)
+            rows[u].append(ids[v])
+            rows[v].append(ids[u])
+        del ids
+        # from strictly increasing pairs (u, v) with u < v, each row got its
+        # smaller neighbours, ascending, then its larger ones
+        presorted = all(map(lt, us, vs)) and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+        for i, row in enumerate(rows):
+            # each list goes as soon as its tuple exists, so the lists and
+            # the tuples are never all held at once
+            rows[i] = tuple(row) if presorted else tuple(sorted(set(row)))
+        # the isolated vertices above the largest endpoint share one empty
+        # tuple: a declared count costs 8 bytes per vertex
+        self.adj = tuple(chain(rows, repeat((), n - top)))
         self.n = n
         self.m = sum(map(len, self.adj)) // 2
 
@@ -406,14 +413,17 @@ class SubgraphMap:
 
 def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by s, with ids remapped to 0..|s|-1 in ascending
-    order of the original ids. When s is all of V, g itself is returned."""
+    order of the original ids. When s is all of V, g itself is returned,
+    and the identity map's ``to_sub`` maps each id of s to that same int
+    object."""
     to_orig = tuple(sorted(set(s)))
     if to_orig:
         check_vertices(g, (to_orig[0], to_orig[-1]))
-    to_sub = {old: new for new, old in enumerate(to_orig)}
     if len(to_orig) == g.n:
-        # s is all of V: the identity map, and g (immutable) is its own copy
-        return g, SubgraphMap(to_orig, to_sub)
+        # s is all of V: g (immutable) is its own copy, and the identity
+        # map's keys and values are the same objects
+        return g, SubgraphMap(to_orig, dict(zip(to_orig, to_orig)))
+    to_sub = {old: new for new, old in enumerate(to_orig)}
     edges = []
     for new_u, old_u in enumerate(to_orig):
         for old_w in g.adj[old_u]:

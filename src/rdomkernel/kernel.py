@@ -219,11 +219,13 @@ def find_core(
     analysis finds nothing or the target size is reached. With ``verify``
     every removal is re-checked against the enumeration oracle (instances
     up to :data:`VERIFY_CAP` vertices only); state.verify records whether
-    the oracle ran or was skipped.
+    the oracle ran or was skipped. A negative target is a ValueError.
     """
     g, r, k = inst.g, inst.r, inst.k
     if target is None:
         target = default_core_target(k)
+    if target < 0:
+        raise ValueError(f"core target must be non-negative, got {target}")
     z: set[int] = set(range(g.n))
     state = CoreState(z)
     if verify:
@@ -271,7 +273,9 @@ def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
     domination number, assuming z is a core (the caller's obligation).
     The classes come from one z-avoiding search per member of z
     (:func:`target_traces`); when z is all of V there is nothing to class
-    and no search runs."""
+    and no search runs. A kernel that removed nothing is g itself: its
+    dominatees are the frozenset of z, and its id map's keys and values
+    are the same int objects."""
     zf = frozenset(z)
     reps: dict[tuple, int] = {}
     if len(zf) < g.n:
@@ -283,7 +287,8 @@ def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
     kept = set(zf) | set(reps.values())
     closed = short_paths_closure(g, kept, r)
     sub, idmap = induced_subgraph(g, closed)
-    z_prime = frozenset(idmap.to_sub[v] for v in zf)
+    # an identity kernel shares the input's core rather than rebuilding it
+    z_prime = zf if sub is g else frozenset(idmap.to_sub[v] for v in zf)
     stats = {
         "n": g.n,
         "m": g.m,

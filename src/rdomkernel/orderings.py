@@ -137,22 +137,24 @@ def degeneracy_order(g: Graph) -> Ordering:
     """Smallest-last order: repeatedly delete a minimum-degree vertex
     (lowest id on ties); vertices removed last come first in the order.
 
-    A heap of ``(degree, id)`` entries with lazy deletion (Matula & Beck,
+    A heap keyed by ``(degree, id)``, with lazy deletion (Matula & Beck,
     1983): each degree drop pushes a fresh entry and leaves the old one in
     place. Degrees only fall, so a vertex's current entry sorts before its
     stale ones and pops first; the stale ones pop after the vertex is gone
     and are skipped. Every pop of a live vertex is thus the least
     ``(degree, id)`` among the remaining vertices, the same pick as a scan
-    over all of them. O((n + m) log n).
+    over all of them. O((n + m) log n). An entry is the int
+    ``degree * n + id``, which orders as the pair does because 0 <= id < n,
+    so the heap compares ints rather than tuples.
     """
     n = g.n
     deg = [g.degree(v) for v in range(n)]
-    heap = [(d, v) for v, d in enumerate(deg)]
+    heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     removed = [False] * n
     removal = []
     while heap:
-        _, v = heapq.heappop(heap)
+        v = heapq.heappop(heap) % n
         if removed[v]:
             continue
         removed[v] = True
@@ -160,7 +162,7 @@ def degeneracy_order(g: Graph) -> Ordering:
         for w in g.adj[v]:
             if not removed[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                heapq.heappush(heap, deg[w] * n + w)
     return Ordering.from_sequence(reversed(removal))
 
 

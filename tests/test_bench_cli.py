@@ -227,6 +227,24 @@ class TestCli:
         header = stats.read_text().splitlines()[0]
         assert header == "stage,z,x,x_cl,classes,s,r_class,removed"
 
+    def test_negative_target_exits_2_before_any_output(self, tmp_path, capsys):
+        graph_file = tmp_path / "p30.edges"
+        assert main(["gen", "path", "--n", "30", "--out", str(graph_file)]) == 0
+        out, zout, stats = (tmp_path / name for name in ("k.edges", "k.z", "k.csv"))
+        code = main(["kernelize", "--graph", str(graph_file), "--r", "1", "--k", "30", "--target", "-1",
+                     "--out", str(out), "--zout", str(zout), "--stats", str(stats)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: core target must be non-negative, got -1\n"
+        assert not stats.exists() and not out.exists() and not zout.exists()
+        plan = tmp_path / "plan.txt"
+        plan.write_text("family=path\nn=30\nr=1\nk=30\ntarget=-1\n")
+        assert main(["bench", "--plan", str(plan)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: core target must be non-negative, got -1\n"
+
     def test_gadget_round_trip(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.edges"
         graph_file.write_text("0 1\n1 2\n")

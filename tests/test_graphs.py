@@ -419,6 +419,48 @@ class TestInducedSubgraph:
         assert all(idmap.to_orig[idmap.to_sub[v]] == v for v in (1, 3))
 
 
+class TestSharedIds:
+    """Each vertex id is one int object across g.adj. The graphs have ids
+    above 256, which CPython does not cache, so at equal values separate
+    decodes or sums are separate objects."""
+
+    @staticmethod
+    def assert_one_object_per_id(g):
+        first: dict[int, int] = {}
+        for row in g.adj:
+            for w in row:
+                assert first.setdefault(w, w) is w, w
+        assert max(first) > 256
+
+    def test_generator_arithmetic(self):
+        self.assert_one_object_per_id(grid_graph(40, 40))
+
+    def test_canonical_text(self):
+        text = dump_edge_list(grid_graph(40, 40))
+        assert _load_canonical(text) is not None
+        self.assert_one_object_per_id(load_edge_list(text))
+
+    def test_line_loop(self):
+        self.assert_one_object_per_id(load_edge_list("# grid\n" + dump_edge_list(grid_graph(40, 40))))
+
+    def test_induced_subgraph_of_a_proper_subset(self):
+        g = grid_graph(40, 40)
+        sub, _ = induced_subgraph(g, range(1, g.n))
+        self.assert_one_object_per_id(sub)
+
+    def test_loaded_grid_retains_under_12_mib(self):
+        # one int per edge end kept about 18.2 MiB; one per vertex, 10.7
+        text = dump_edge_list(grid_graph(316, 316))
+        tracemalloc.start()
+        try:
+            g = load_edge_list(text)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (99856, 199080)
+        assert retained <= 12 << 20
+
+
 class TestIsRIndependent:
     def test_p5_far(self):
         assert is_r_independent(path(5), {0, 4}, 3)

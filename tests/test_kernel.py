@@ -140,6 +140,13 @@ class TestFindCore:
         assert state.witness is None
         assert len(state.trace) > 0
 
+    def test_negative_target_raises(self):
+        inst = full_instance(path_graph(30), 1, 30)
+        with pytest.raises(ValueError, match="core target must be non-negative, got -5"):
+            find_core(inst, target=-5)
+        with pytest.raises(ValueError, match="core target must be non-negative, got -1"):
+            kernelize(inst, target=-1)
+
     def test_zero_budget_rejects_immediately(self):
         g = path_graph(3)
         state = find_core(full_instance(g, 1, 0))
@@ -399,6 +406,16 @@ class TestBuildKernelFromCore:
         result = build_kernel_from_core(g, set(range(8)), 2)
         assert result.graph == g
         assert result.dominatees == frozenset(range(8))
+
+    def test_full_core_shares_the_core_and_ids(self):
+        # n > 256, so the ids are not CPython's cached small ints
+        g = grid_graph(20, 20)
+        z = frozenset(range(g.n))
+        result = build_kernel_from_core(g, z, 2)
+        assert result.graph is g
+        assert result.dominatees == z
+        assert result.dominatees is z
+        assert all(w is v for v, w in result.idmap.to_sub.items())
 
     def test_c12_spread_targets_r2(self):
         g = cycle_graph(12)
