@@ -100,8 +100,17 @@ class Graph:
         # the one adjacency builder behind the constructor and the parser
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        top = max(max(us), max(vs)) + 1 if us else 0
-        if us and (min(us) < 0 or min(vs) < 0 or top > n or any(map(eq, us, vs))):
+        # strictly increasing pairs (u, v) with u < v, as dump_edge_list
+        # writes them: us ascends and every v is above its u, so us[0] is the
+        # least id, max(vs) the largest, and no edge is a self-loop
+        presorted = all(map(lt, us, vs)) and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+        if presorted:
+            top = max(vs) + 1 if us else 0
+            bad = us and (us[0] < 0 or top > n)
+        else:
+            top = max(max(us), max(vs)) + 1
+            bad = min(us) < 0 or min(vs) < 0 or top > n or any(map(eq, us, vs))
+        if bad:
             # some edge is bad: walk them in order to name the first one
             for u, v in zip(us, vs):
                 if u == v:
@@ -116,9 +125,8 @@ class Graph:
             rows[u].append(ids[v])
             rows[v].append(ids[u])
         del ids
-        # from strictly increasing pairs (u, v) with u < v, each row got its
-        # smaller neighbours, ascending, then its larger ones
-        presorted = all(map(lt, us, vs)) and all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None))))
+        # from presorted pairs each row got its smaller neighbours,
+        # ascending, then its larger ones
         for i, row in enumerate(rows):
             # each list goes as soon as its tuple exists, so the lists and
             # the tuples are never all held at once
@@ -161,7 +169,8 @@ def load_edge_list(source) -> Graph:
     iterable of lines.
 
     Without a header n is one past the largest id seen. Duplicate edges
-    collapse; self-loops, malformed lines and invalid UTF-8 raise
+    collapse; self-loops, malformed lines, invalid UTF-8 and an id outside
+    ``p <n>`` (the first line holding the largest id) raise
     :class:`ParseError` with the line number, and an n above
     :data:`MAX_VERTICES` raises :class:`SizeCapError` before the graph is
     allocated.
@@ -242,7 +251,8 @@ def _load_lines(source) -> Graph:
 
     declared: int | None = None
     edges: list[tuple[int, int]] = []
-    max_id = -1
+    # the largest id and the first line that holds it
+    max_id, max_line = -1, None
     for idx, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -271,11 +281,12 @@ def _load_lines(source) -> Graph:
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", idx)
         edges.append((u, v))
-        max_id = max(max_id, u, v)
+        if u > max_id or v > max_id:
+            max_id, max_line = max(u, v), idx
 
     n = declared if declared is not None else max_id + 1
     if max_id >= n:
-        raise ParseError(f"vertex id {max_id} outside declared range p {n}")
+        raise ParseError(f"vertex id {max_id} outside declared range p {n}", max_line)
     if n > MAX_VERTICES:
         raise SizeCapError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
     return Graph(n, edges)
@@ -413,10 +424,10 @@ class SubgraphMap:
 
 def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by s, with ids remapped to 0..|s|-1 in ascending
-    order of the original ids. When s is all of V, g itself is returned,
-    and the identity map's ``to_sub`` maps each id of s to that same int
-    object."""
-    to_orig = tuple(sorted(set(s)))
+    order of the original ids. A set or frozenset s is sorted as it is,
+    without a copy. When s is all of V, g itself is returned, and the
+    identity map's ``to_sub`` maps each id of s to that same int object."""
+    to_orig = tuple(sorted(s if isinstance(s, (set, frozenset)) else set(s)))
     if to_orig:
         check_vertices(g, (to_orig[0], to_orig[-1]))
     if len(to_orig) == g.n:

@@ -1,12 +1,13 @@
 """The kernelization pipeline for distance-r domination.
 
 Two phases. Phase one shrinks the set of vertices whose domination
-matters (the core): starting from all of V, a vertex is dropped whenever
-an exchange argument proves that any minimum dominator of the rest still
-covers it. Phase two collapses the dominator side: vertices outside the
-core are grouped by their projection profiles onto it, one representative
-per group survives, and a distance-preserving closure turns the survivors
-into an induced subgraph with the same annotated domination number.
+matters (the core): starting from the dominatees Z (all of V for a plain
+instance), a vertex is dropped whenever an exchange argument proves that
+any minimum dominator of the rest still covers it. Phase two collapses
+the dominator side: vertices outside the core are grouped by their
+projection profiles onto it, one representative per group survives, and
+a distance-preserving closure turns the survivors into an induced
+subgraph with the same annotated domination number.
 
 Every removal decision is justified by a concrete recorded witness
 (approximate dominator, its closure, the profile class, separator, and
@@ -16,7 +17,8 @@ certifies a batch from every projection class: the classes depend on the
 dominator alone, so each one that passes the exchange test loses every
 member of its exchange class beyond |buy| + 1, and phase one removes them
 all before analysing again. Each removal still keeps its own recorded
-step, and the rejection route is checked once per analysis. An analysis
+step, and the rejection route is checked once per analysis while the
+core is larger than k, the only time its witness can exceed k. An analysis
 reads (G, Z, r) alone (:func:`find_redundant_vertex` analyses ``inst.z``);
 phase one keeps the core, the steps and, on rejection, ``state.witness``.
 
@@ -29,8 +31,8 @@ recounts near each hub and searches once more from the final closure),
 and, per class large enough to pass, the scattered-set extraction
 and one radius-r search per separator vertex (the distance-profile
 subclasses). The kernel build classes the vertices outside the core with
-one core-avoiding radius-r search per core vertex, and none when the core
-is all of V.
+one core-avoiding radius-r search per core vertex; when the core is all
+of V it runs neither these nor the closure's searches.
 """
 
 from __future__ import annotations
@@ -183,13 +185,11 @@ def default_core_target(k: int) -> int:
     return 20 * k * math.ceil(math.log2(k + 2))
 
 
-def _verify_core_after_removal(g: Graph, z_after: frozenset[int], r: int):
-    inst = DominationInstance(g, z_after, r)
-    whole = DominationInstance(g, frozenset(range(g.n)), r)
-    for d in enumerate_min_dominators(inst, cap=VERIFY_CAP):
-        if not is_dominator(whole, d):
+def _verify_core_after_removal(inst: DominationInstance, z_after: frozenset[int]):
+    for d in enumerate_min_dominators(replace(inst, z=z_after), cap=VERIFY_CAP):
+        if not is_dominator(inst, d):
             raise CoreVerificationError(
-                f"minimum dominator {sorted(d)} of the shrunk core misses part of the graph"
+                f"minimum dominator {sorted(d)} of the shrunk core misses part of the dominatees"
             )
 
 
@@ -198,12 +198,16 @@ def find_core(
     target: int | None = None,
     verify: bool = False,
 ) -> CoreState:
-    """Shrink the dominatee set from V down toward ``target`` while it
-    provably stays a domination core.
+    """Shrink the dominatee set from ``inst.z`` down toward ``target``
+    while it provably stays a domination core of ``inst.z``.
 
     Each analysis first checks the rejection route: a scattered witness
     larger than the budget k proves no k-vertex dominator exists and
-    short-circuits (state.witness is set). Otherwise one exchange
+    short-circuits (state.witness is set). The witness is a subset of the
+    core, so the route runs only while the core is larger than k: a core
+    of at most ``min(target, k)`` vertices is returned at once, with no
+    search (the default target is at least k, so every default-target
+    call with k >= |Z| ends there). Otherwise one exchange
     analysis runs (:func:`find_redundant_vertex`, on the instance whose z
     is the core that the lower bound read), and each step it returns
     certifies a batch, applied in step order: the members of the step's
@@ -221,16 +225,18 @@ def find_core(
     up to :data:`VERIFY_CAP` vertices only); state.verify records whether
     the oracle ran or was skipped. A negative target is a ValueError.
     """
-    g, r, k = inst.g, inst.r, inst.k
+    g, k = inst.g, inst.k
     if target is None:
         target = default_core_target(k)
     if target < 0:
         raise ValueError(f"core target must be non-negative, got {target}")
-    z: set[int] = set(range(g.n))
+    z: set[int] = set(inst.z)
     state = CoreState(z)
     if verify:
         state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
     while True:
+        if len(z) <= min(target, k):
+            return state
         core = replace(inst, z=frozenset(z))
         witness = greedy_scattered_lower_bound(core)
         if len(witness) > k:
@@ -262,7 +268,7 @@ def find_core(
                     )
                 )
                 if state.verify == "oracle":
-                    _verify_core_after_removal(g, frozenset(z), r)
+                    _verify_core_after_removal(inst, frozenset(z))
 
 
 def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
@@ -272,20 +278,22 @@ def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
     vertices. The result is an induced subgraph with the same annotated
     domination number, assuming z is a core (the caller's obligation).
     The classes come from one z-avoiding search per member of z
-    (:func:`target_traces`); when z is all of V there is nothing to class
-    and no search runs. A kernel that removed nothing is g itself: its
+    (:func:`target_traces`). When z is all of V there is nothing to class
+    or to close, so neither search runs: the kernel is g itself, its
     dominatees are the frozenset of z, and its id map's keys and values
     are the same int objects."""
     zf = frozenset(z)
     reps: dict[tuple, int] = {}
-    if len(zf) < g.n:
+    if len(zf) == g.n:
+        kept = closed = zf
+    else:
         # for u outside zf its trace is projection_profile(g, u, zf, r).entries
         traces = target_traces(g, zf, r, distances=True, avoiding=True)
         for u in range(g.n):
             if u not in zf:
                 reps.setdefault(traces[u], u)
-    kept = set(zf) | set(reps.values())
-    closed = short_paths_closure(g, kept, r)
+        kept = zf.union(reps.values())
+        closed = short_paths_closure(g, kept, r)
     sub, idmap = induced_subgraph(g, closed)
     # an identity kernel shares the input's core rather than rebuilding it
     z_prime = zf if sub is g else frozenset(idmap.to_sub[v] for v in zf)

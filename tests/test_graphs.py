@@ -148,8 +148,18 @@ class TestLoadEdgeList:
         assert (g.n, g.m) == (2, 1)
 
     def test_id_outside_header_range(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             load_edge_list("p 2\n0 5")
+        assert err.value.line == 2
+
+    def test_canonical_id_outside_header_names_its_line(self):
+        # canonical shape, so the pattern matches and the build refuses it
+        text = "p 4\n0 1\n1 6\n2 3\n2 6\n"
+        assert _load_canonical(text) is None
+        with pytest.raises(ParseError) as err:
+            load_edge_list(text)
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: vertex id 6 outside declared range p 4"
 
     def test_round_trip(self):
         g = grid_graph(3, 3)
@@ -488,6 +498,23 @@ class TestGraphBasics:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
+
+    def test_presorted_bad_columns_keep_their_messages(self):
+        # strictly increasing pairs: the range test reads us[0] and max(vs),
+        # and the largest v need not be on the last edge
+        for n, us, vs, message in (
+            (5, [-1, 0], [2, 3], "edge (-1, 2) out of range for n=5"),
+            (5, [0, 1], [9, 2], "edge (0, 9) out of range for n=5"),
+            (5, [0, 1], [2, 5], "edge (1, 5) out of range for n=5"),
+        ):
+            with pytest.raises(ValueError) as err:
+                Graph._from_columns(n, us, vs)
+            assert str(err.value) == message
+
+    def test_unsorted_self_loop_keeps_its_message(self):
+        with pytest.raises(ValueError) as err:
+            Graph._from_columns(5, [3, 2, 4], [4, 2, 9])
+        assert str(err.value) == "self-loop at vertex 2"
 
     def test_adjacency_sorted_and_deduped(self):
         g = Graph(3, [(2, 0), (0, 1), (1, 0)])

@@ -8,9 +8,17 @@ from rdomkernel.domset import (
     DominationInstance,
     enumerate_min_dominators,
     exact_min_dominator,
+    greedy_scattered_lower_bound,
     is_dominator,
 )
-from rdomkernel.generators import cycle_graph, grid_graph, path_graph, spider_graph, star_graph
+from rdomkernel.generators import (
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_tree_graph,
+    spider_graph,
+    star_graph,
+)
 from rdomkernel.graphs import induced_subgraph, is_r_independent
 from rdomkernel.kernel import (
     annotate_to_plain,
@@ -169,6 +177,95 @@ class TestFindCore:
         state = find_core(full_instance(g, 1, 1), target=0)
         assert len(state.trace) == len({s.removed for s in state.trace})
         assert len(state.z) + len(state.trace) == g.n
+
+
+class TestAnnotatedDominatees:
+    """The core starts from ``inst.z``, not from all of V."""
+
+    def test_one_dominatee_of_a_path_is_not_rejected(self):
+        # V holds a 2-scattered set of 7 vertices, Z = {0} only one
+        g = path_graph(20)
+        result = kernelize(DominationInstance(g, frozenset({0}), 1, 1))
+        assert result.verdict == "kernel"
+        assert result.stats["core"] == 1
+        kernel_inst = DominationInstance(result.graph, result.dominatees, 1)
+        assert len(exact_min_dominator(kernel_inst).dominator) == 1
+
+    def test_annotated_oracle_sampled(self):
+        rng = random.Random(7)
+        cases = [(random_sparse_graph(rng, rng.randint(2, 12)), 0.6) for _ in range(400)]
+        for _ in range(200):
+            legs = rng.randint(1, 9)
+            cases.append((spider_graph(legs, rng.randint(1, 19 // legs)), 0.7))
+        rejections = shrunk = 0
+        for g, share in cases:
+            z = frozenset(v for v in range(g.n) if rng.random() < share) or frozenset({0})
+            r = rng.randint(1, 2)
+            opt = len(exact_min_dominator(DominationInstance(g, z, r)).dominator)
+            k = max(0, opt + rng.choice((-1, 0, 1)))
+            # verified: every removal is re-checked against the dominatees z
+            result = kernelize(DominationInstance(g, z, r, k), target=0, verify=True)
+            assert result.stats["verify"] == "oracle"
+            if result.verdict != "kernel":
+                rejections += 1
+                assert opt > k
+                assert len(result.witness) > k
+                assert result.witness <= z
+                assert is_r_independent(g, result.witness, 2 * r)
+                continue
+            shrunk += bool(result.trace)
+            kernel_inst = DominationInstance(result.graph, result.dominatees, r)
+            assert len(exact_min_dominator(kernel_inst).dominator) == opt
+        assert rejections >= 100 and shrunk >= 50, (rejections, shrunk)
+
+
+class TestDefaultTargetSkip:
+    """The scattered lower bound cannot reject while k >= |Z|, and the
+    default target is at least k, so a default-target run at k >= |Z|
+    returns the input before any search."""
+
+    def test_no_lower_bound_when_k_covers_the_core(self, monkeypatch):
+        def refuse(inst):
+            raise AssertionError("the lower bound cannot reject at k >= |Z|")
+
+        monkeypatch.setattr(kernel, "greedy_scattered_lower_bound", refuse)
+        for g in (grid_graph(20, 20), random_tree_graph(300, 5)):
+            z = frozenset(range(g.n))
+            result = kernelize(DominationInstance(g, z, 1, g.n))
+            assert result.verdict == "kernel"
+            assert result.graph is g
+            assert result.dominatees == z
+            assert result.trace == ()
+
+    def test_bound_below_n_gives_the_same_kernel(self, monkeypatch):
+        calls = []
+
+        def counting(inst):
+            calls.append(inst)
+            return greedy_scattered_lower_bound(inst)
+
+        monkeypatch.setattr(kernel, "greedy_scattered_lower_bound", counting)
+        for g in (grid_graph(20, 20), random_tree_graph(300, 5)):
+            calls.clear()
+            skipped = kernelize(full_instance(g, 1, g.n))
+            assert calls == []
+            bounded = kernelize(full_instance(g, 1, g.n - 1))
+            assert len(calls) == 1
+            assert bounded.verdict == skipped.verdict == "kernel"
+            assert bounded.graph == skipped.graph
+            assert bounded.dominatees == skipped.dominatees
+            assert bounded.stats == skipped.stats
+            assert bounded.trace == skipped.trace == ()
+
+    def test_default_target_rejection_keeps_its_witness(self):
+        # path(20) at k = 2, and a grid at its packing bound minus one
+        for g, r, k in ((path_graph(20), 1, 2), (grid_graph(6, 6), 1, None)):
+            bound = greedy_scattered_lower_bound(full_instance(g, r))
+            k = len(bound) - 1 if k is None else k
+            result = kernelize(full_instance(g, r, k))
+            assert result.verdict == f"rejected({k})"
+            assert result.witness == bound
+            assert kernelize(full_instance(g, r, len(bound))).verdict == "kernel"
 
 
 class TestBatchedRemovals:
@@ -416,6 +513,19 @@ class TestBuildKernelFromCore:
         assert result.dominatees == z
         assert result.dominatees is z
         assert all(w is v for v, w in result.idmap.to_sub.items())
+
+    def test_full_core_runs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full core has nothing to class or close")
+
+        monkeypatch.setattr(kernel, "short_paths_closure", refuse)
+        monkeypatch.setattr(kernel, "target_traces", refuse)
+        g = grid_graph(20, 20)
+        result = build_kernel_from_core(g, set(range(g.n)), 2)
+        assert result.graph is g
+        assert result.dominatees == frozenset(range(g.n))
+        assert result.stats["kept"] == result.stats["closed"] == g.n
+        assert result.stats["classes"] == 0
 
     def test_c12_spread_targets_r2(self):
         g = cycle_graph(12)
