@@ -15,6 +15,12 @@ comments, blank lines, tabs, CRLF and a header placed elsewhere, the only
 place a parse error is raised, and the reference the canonical path is
 tested against. Both paths, and ``Graph(n, edges)``, build adjacency with
 one builder, which holds one int object per vertex id.
+
+A graph read from canonical text whose header and edge lines are exactly
+what :func:`dump_edge_list` would write (ids ascending pair by pair, u < v,
+no leading zero in ``p <n>``) keeps that text, and dumping it returns the
+text without formatting a line. Every other graph, including one read from
+the same edges in another order or with a comment, is formatted.
 """
 
 from __future__ import annotations
@@ -78,25 +84,37 @@ class Graph:
     generator, a remapped subgraph), so a neighbour entry costs its 8-byte
     slot rather than a fresh int per edge end.
 
+    ``text`` is the graph's canonical edge-list text when the graph was read
+    from exactly that text (see :func:`dump_edge_list`), and None for every
+    other graph: ``Graph(n, edges)``, a generated graph, a proper induced
+    subgraph, text read through the line loop. The text is retained for the
+    graph's lifetime, at the cost of the file's size, so that dumping the
+    graph, or an identity kernel that is the graph itself, costs nothing.
+    Equality and hashing ignore it.
+
     Immutable after construction; all queries are read-only and safe to
     share across workers.
     """
 
-    __slots__ = ("n", "m", "adj")
+    __slots__ = ("n", "m", "adj", "text")
 
     def __init__(self, n: int, edges=()):
         pairs = list(edges)
         self._fill(n, [u for u, _ in pairs], [v for _, v in pairs])
 
     @classmethod
-    def _from_columns(cls, n: int, us: list[int], vs: list[int]) -> Graph:
+    def _from_columns(cls, n: int, us: list[int], vs: list[int], text: str | None = None, ids=None) -> Graph:
         """The graph of the edges ``(us[i], vs[i])``, with the checks and
-        messages of ``Graph(n, edges)``."""
+        messages of ``Graph(n, edges)``. ``text``, canonical text that
+        holds these pairs in this order under the header ``p <n>``, is kept
+        only when the pairs are strictly increasing with u < v, the order
+        :func:`dump_edge_list` writes. ``ids``, a list whose item i is i,
+        supplies the rows' id objects."""
         g = cls.__new__(cls)
-        g._fill(n, us, vs)
+        g._fill(n, us, vs, text, ids)
         return g
 
-    def _fill(self, n: int, us: list[int], vs: list[int]):
+    def _fill(self, n: int, us: list[int], vs: list[int], text: str | None = None, ids=None):
         # the one adjacency builder behind the constructor and the parser
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -119,7 +137,8 @@ class Graph:
                     raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         # every row holds the one int object of each vertex id, not the
         # decoded or computed objects of us and vs, one per edge end
-        ids = list(range(top))
+        if ids is None:
+            ids = list(range(top))
         rows: list[list[int]] = [[] for _ in range(top)]
         for u, v in zip(us, vs):
             rows[u].append(ids[v])
@@ -136,6 +155,8 @@ class Graph:
         self.adj = tuple(chain(rows, repeat((), n - top)))
         self.n = n
         self.m = sum(map(len, self.adj)) // 2
+        # presorted pairs are the order dump_edge_list writes
+        self.text = text if presorted else None
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -181,7 +202,10 @@ def load_edge_list(source) -> Graph:
     a third of the line loop's time on a 10^4-vertex grid. Any other str or
     bytes goes to the line loop, which raises the errors; so does, after
     that pattern match, a text of canonical shape that has an id with a
-    leading zero, a self-loop or an id outside ``p <n>``.
+    leading zero, a self-loop or an id outside ``p <n>``. A canonical text
+    whose pairs are strictly increasing with u < v and whose header has no
+    leading zero is byte for byte the graph's dump, and the graph keeps it
+    as ``Graph.text``.
     """
     if isinstance(source, (str, bytes)):
         graph = _load_canonical(source)
@@ -212,7 +236,9 @@ def _load_canonical(text: str | bytes) -> Graph | None:
         ids = json.loads("[" + text[start:].replace(" ", ",").replace("\n", ",")[:-1] + "]")
         us, vs = ids[0::2], ids[1::2]
         del ids
-        return Graph._from_columns(n, us, vs)
+        # with no leading zero in the header, and none possible in an id,
+        # the text is the dump of its pairs when they are presorted
+        return Graph._from_columns(n, us, vs, text if header[1] == str(n) else None)
     except ValueError:
         # an id with a leading zero, a self-loop or an id outside p <n>:
         # the line loop reads the first and names the line of the others
@@ -295,8 +321,12 @@ def _load_lines(source) -> Graph:
 def dump_edge_list(g: Graph) -> str:
     """Serialize a graph in canonical form, the inverse of
     :func:`load_edge_list` and byte-stable: ``p <n>``, then one ``u v`` line
-    per edge with u < v, ascending. One list comprehension over the
-    adjacency tuples writes the lines."""
+    per edge with u < v, ascending. A graph read from exactly this text
+    returns its ``text``, the same string, at no cost; for every other
+    graph one list comprehension over the adjacency tuples writes the
+    lines."""
+    if g.text is not None:
+        return g.text
     lines = [f"p {g.n}"]
     lines += [f"{u} {w}" for u, row in enumerate(g.adj) for w in row if u < w]
     return "\n".join(lines) + "\n"
@@ -426,7 +456,8 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by s, with ids remapped to 0..|s|-1 in ascending
     order of the original ids. A set or frozenset s is sorted as it is,
     without a copy. When s is all of V, g itself is returned, and the
-    identity map's ``to_sub`` maps each id of s to that same int object."""
+    identity map's ``to_sub`` maps each id of s to that same int object;
+    otherwise its values are the subgraph's own id objects."""
     to_orig = tuple(sorted(s if isinstance(s, (set, frozenset)) else set(s)))
     if to_orig:
         check_vertices(g, (to_orig[0], to_orig[-1]))
@@ -434,13 +465,17 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
         # s is all of V: g (immutable) is its own copy, and the identity
         # map's keys and values are the same objects
         return g, SubgraphMap(to_orig, dict(zip(to_orig, to_orig)))
-    to_sub = {old: new for new, old in enumerate(to_orig)}
-    edges = []
-    for new_u, old_u in enumerate(to_orig):
+    # one int object per new id, shared by to_sub and the subgraph's rows
+    ids = list(range(len(to_orig)))
+    to_sub = dict(zip(to_orig, ids))
+    us: list[int] = []
+    vs: list[int] = []
+    for new_u, old_u in zip(ids, to_orig):
         for old_w in g.adj[old_u]:
             if old_w > old_u and old_w in to_sub:
-                edges.append((new_u, to_sub[old_w]))
-    return Graph(len(to_orig), edges), SubgraphMap(to_orig, to_sub)
+                us.append(new_u)
+                vs.append(to_sub[old_w])
+    return Graph._from_columns(len(ids), us, vs, ids=ids), SubgraphMap(to_orig, to_sub)
 
 
 def is_r_independent(g: Graph, s, r: int) -> bool:

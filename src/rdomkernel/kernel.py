@@ -80,9 +80,11 @@ class RemovalStep:
 @dataclass
 class CoreState:
     """What phase one produces: the core, one step per removal, and, when
-    the budget k cannot suffice, the scattered witness that proves it."""
+    the budget k cannot suffice, the scattered witness that proves it. A
+    core that no search could shrink is the instance's frozenset z itself;
+    any other is a set of its own."""
 
-    z: set[int]
+    z: set[int] | frozenset[int]
     trace: list[RemovalStep] = field(default_factory=list)
     witness: frozenset[int] | None = None
     verify: str = "off"  # "off", "oracle", or "skipped" (n above the cap)
@@ -204,39 +206,40 @@ def find_core(
     Each analysis first checks the rejection route: a scattered witness
     larger than the budget k proves no k-vertex dominator exists and
     short-circuits (state.witness is set). The witness is a subset of the
-    core, so the route runs only while the core is larger than k: a core
-    of at most ``min(target, k)`` vertices is returned at once, with no
-    search (the default target is at least k, so every default-target
-    call with k >= |Z| ends there). Otherwise one exchange
-    analysis runs (:func:`find_redundant_vertex`, on the instance whose z
-    is the core that the lower bound read), and each step it returns
+    core, so the route runs only while the core is larger than k: a core of
+    at most ``min(target, k)`` vertices is returned at once, with no search,
+    as ``inst.z`` itself rather than a copy (the default target is at least
+    k, so every default-target call with k >= |Z| ends there). Otherwise one
+    exchange analysis runs (:func:`find_redundant_vertex`, on the instance
+    whose z is the core that the lower bound read), and each step it returns
     certifies a batch, applied in step order: the members of the step's
     exchange class R are removed in ascending id while the rest of R keeps
     at least |buy| + 2 members (``step.buy``) and the core is above the
     target. Each removal appends its own :class:`RemovalStep`, whose
     exchange class is what is left of R. This is sound because X still
-    dominates the smaller core, the closure and the classes do not depend
-    on the core, and any subset of R keeps R's projection class, its
-    distance profile on the separator and its scatteredness. The rejection
-    route is checked once per analysis: a scattered witness of a smaller
-    core also certifies the whole instance. The loop stops when an
-    analysis finds nothing or the target size is reached. With ``verify``
-    every removal is re-checked against the enumeration oracle (instances
-    up to :data:`VERIFY_CAP` vertices only); state.verify records whether
-    the oracle ran or was skipped. A negative target is a ValueError.
+    dominates the smaller core, the closure and the classes do not depend on
+    the core, and any subset of R keeps R's projection class, its distance
+    profile on the separator and its scatteredness. The rejection route is
+    checked once per analysis: a scattered witness of a smaller core also
+    certifies the whole instance. The loop stops when an analysis finds
+    nothing or the target size is reached. With ``verify`` every removal is
+    re-checked against the enumeration oracle (instances up to
+    :data:`VERIFY_CAP` vertices only); state.verify records whether the
+    oracle ran or was skipped. A negative target is a ValueError.
     """
     g, k = inst.g, inst.k
     if target is None:
         target = default_core_target(k)
     if target < 0:
         raise ValueError(f"core target must be non-negative, got {target}")
-    z: set[int] = set(inst.z)
-    state = CoreState(z)
+    state = CoreState(inst.z)
     if verify:
         state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
+    if len(inst.z) <= min(target, k):
+        # nothing to search or remove: the core is inst.z itself, not a copy
+        return state
+    z = state.z = set(inst.z)
     while True:
-        if len(z) <= min(target, k):
-            return state
         core = replace(inst, z=frozenset(z))
         witness = greedy_scattered_lower_bound(core)
         if len(witness) > k:
@@ -269,6 +272,8 @@ def find_core(
                 )
                 if state.verify == "oracle":
                     _verify_core_after_removal(inst, frozenset(z))
+        if len(z) <= min(target, k):
+            return state
 
 
 def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
@@ -280,8 +285,8 @@ def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
     The classes come from one z-avoiding search per member of z
     (:func:`target_traces`). When z is all of V there is nothing to class
     or to close, so neither search runs: the kernel is g itself, its
-    dominatees are the frozenset of z, and its id map's keys and values
-    are the same int objects."""
+    dominatees are the frozenset of z (z itself when it is one), and its id
+    map's keys and values are the same int objects."""
     zf = frozenset(z)
     reps: dict[tuple, int] = {}
     if len(zf) == g.n:

@@ -256,6 +256,65 @@ class TestLoadEdgeList:
         assert built > 50
 
 
+class TestCanonicalTextKept:
+    """A graph read from exactly its canonical text keeps it, and dumping
+    the graph returns that string; every other graph is formatted."""
+
+    CANONICAL = "p 7\n0 1\n0 2\n3 4\n"
+
+    @given(graphs())
+    def test_round_trip_returns_the_source(self, g):
+        t = dump_edge_list(g)
+        h = load_edge_list(t)
+        assert h.text is t
+        assert dump_edge_list(h) is t
+        # the kept text is the formatter's output for the same edges
+        assert t == dump_edge_list(Graph(h.n, h.edges()))
+
+    def test_non_canonical_source_is_formatted(self):
+        for source in (
+            "p 007\n0 1\n0 2\n3 4\n",
+            "p 7\n0 2\n0 1\n3 4\n",
+            "p 7\n1 0\n0 2\n3 4\n",
+            "p 7\n0 1\n0 1\n0 2\n3 4\n",
+            "# comment\np 7\n0 1\n0 2\n3 4\n",
+            "p 7\r\n0 1\r\n0 2\r\n3 4\r\n",
+            "p 7\n0 1\n0 2\n3 4",
+        ):
+            for data in (source, source.encode()):
+                g = load_edge_list(data)
+                assert g.text is None, source
+                assert dump_edge_list(g) == self.CANONICAL
+
+    def test_canonical_bytes_keep_their_decoded_text(self):
+        g = load_edge_list(self.CANONICAL.encode())
+        assert g.text == self.CANONICAL
+        assert dump_edge_list(g) == self.CANONICAL
+
+    def test_leading_zero_header_of_an_empty_graph(self):
+        for source, kept in (("p 0\n", True), ("p 00\n", False), ("p 05\n", False)):
+            g = load_edge_list(source)
+            assert (g.text is source) == kept, source
+            assert dump_edge_list(g) == f"p {g.n}\n"
+
+    def test_built_graphs_carry_no_text(self):
+        g = load_edge_list(self.CANONICAL)
+        sub, _ = induced_subgraph(g, range(1, g.n))
+        for h in (Graph(7, [(0, 1), (0, 2), (3, 4)]), grid_graph(3, 3), path(4), sub):
+            assert h.text is None
+        # all of V is g itself, and so is its text
+        whole, _ = induced_subgraph(g, range(g.n))
+        assert dump_edge_list(whole) is self.CANONICAL
+
+    def test_equality_and_hash_ignore_the_text(self):
+        kept = load_edge_list(self.CANONICAL)
+        built = Graph(7, [(3, 4), (2, 0), (0, 1)])
+        assert kept.text is not None and built.text is None
+        assert kept == built
+        assert hash(kept) == hash(built)
+        assert len({kept, built}) == 1
+
+
 class TestBfsWithin:
     def test_p5_radius2(self):
         assert bfs_within(path(5), 0, 2) == {0: 0, 1: 1, 2: 2}
@@ -435,12 +494,16 @@ class TestSharedIds:
     decodes or sums are separate objects."""
 
     @staticmethod
-    def assert_one_object_per_id(g):
+    def assert_one_object_per_id(g, more=()):
+        """Also every id of ``more``, each of which g's rows hold, is the
+        rows' own object."""
         first: dict[int, int] = {}
         for row in g.adj:
             for w in row:
                 assert first.setdefault(w, w) is w, w
         assert max(first) > 256
+        for v in more:
+            assert first[v] is v, v
 
     def test_generator_arithmetic(self):
         self.assert_one_object_per_id(grid_graph(40, 40))
@@ -455,8 +518,9 @@ class TestSharedIds:
 
     def test_induced_subgraph_of_a_proper_subset(self):
         g = grid_graph(40, 40)
-        sub, _ = induced_subgraph(g, range(1, g.n))
-        self.assert_one_object_per_id(sub)
+        sub, idmap = induced_subgraph(g, range(1, g.n))
+        # the id map's values are the subgraph's own ids, not a second copy
+        self.assert_one_object_per_id(sub, idmap.to_sub.values())
 
     def test_loaded_grid_retains_under_12_mib(self):
         # one int per edge end kept about 18.2 MiB; one per vertex, 10.7

@@ -19,7 +19,7 @@ from rdomkernel.generators import (
     spider_graph,
     star_graph,
 )
-from rdomkernel.graphs import induced_subgraph, is_r_independent
+from rdomkernel.graphs import dump_edge_list, induced_subgraph, is_r_independent, load_edge_list
 from rdomkernel.kernel import (
     annotate_to_plain,
     build_kernel_from_core,
@@ -234,8 +234,18 @@ class TestDefaultTargetSkip:
             result = kernelize(DominationInstance(g, z, 1, g.n))
             assert result.verdict == "kernel"
             assert result.graph is g
-            assert result.dominatees == z
+            assert result.dominatees is z
             assert result.trace == ()
+
+    def test_identity_kernel_shares_z_and_the_source_text(self):
+        # no copy of Z into the core and back, and no formatted dump
+        text = dump_edge_list(grid_graph(20, 20))
+        g = load_edge_list(text)
+        for inst in (full_instance(g, 2, g.n), DominationInstance(g, frozenset(range(0, g.n, 3)), 2, g.n)):
+            assert find_core(inst).z is inst.z
+            result = kernelize(inst)
+            assert result.dominatees is inst.z
+            assert dump_edge_list(result.graph) is text
 
     def test_bound_below_n_gives_the_same_kernel(self, monkeypatch):
         calls = []
