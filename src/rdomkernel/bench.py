@@ -33,9 +33,10 @@ def _generator_params(entry: dict) -> dict:
 def parse_plan(text: str) -> list[dict]:
     """Parse the key=value block format; '#' starts a comment. A key that
     is neither a knob nor a parameter of the block's family (with or
-    without ``gen.``), or a parameter of the family that the block does
-    not give, raises :class:`ParseError` at the block's line, before any
-    run starts."""
+    without ``gen.``), a parameter of the family that the block does not
+    give, or a knob out of range (r < 1, k < 0, target < 0, verify not 0
+    or 1) raises :class:`ParseError` at the block's line, before any run
+    starts."""
     runs: list[dict] = []
     block: dict = {}
     block_line = 0
@@ -46,6 +47,16 @@ def parse_plan(text: str) -> list[dict]:
         for key in ("family", "r", "k"):
             if key not in block:
                 raise ParseError(f"run block missing {key!r}", block_line)
+        # the library's own range checks, made before any run starts
+        for key, low, rule in (
+            ("r", 1, "domination radius must be at least 1"),
+            ("k", 0, "budget must be non-negative"),
+            ("target", 0, "core target must be non-negative"),
+        ):
+            if block.get(key, low) < low:
+                raise ParseError(f"{rule}, got {block[key]}", block_line)
+        if block.get("verify", 0) not in (0, 1):
+            raise ParseError(f"verify must be 0 or 1, got {block['verify']}", block_line)
         family = FAMILY_TABLE.get(block["family"])
         if family is None:
             raise ParseError(f"unknown family {block['family']!r}", block_line)

@@ -15,12 +15,14 @@ exchange class) whose defining inequality can be re-checked after the
 fact; nothing relies on unverifiable size bounds. One exchange analysis
 certifies a batch from every projection class: the classes depend on the
 dominator alone, so each one that passes the exchange test loses every
-member of its exchange class beyond |buy| + 1, and phase one removes them
-all before analysing again. Each removal still keeps its own recorded
-step, and the rejection route is checked once per analysis while the
-core is larger than k, the only time its witness can exceed k. An analysis
-reads (G, Z, r) alone (:func:`find_redundant_vertex` analyses ``inst.z``);
-phase one keeps the core, the steps and, on rejection, ``state.witness``.
+member of its exchange class beyond |buy| + 1. The analysis alone applies
+the exchange inequality: it returns one step per removal, certified by
+its own |buy| + 2 members, so the trace grows linearly in the removals.
+Phase one applies the steps in order before analysing again, and checks
+the rejection route once per analysis while the core is larger than k,
+the only time its witness can exceed k. An analysis reads (G, Z, r) alone
+(:func:`find_redundant_vertex` analyses ``inst.z``); phase one keeps the
+core, the steps and, on rejection, ``state.witness``.
 
 Every search runs from the smaller side of its question. An analysis
 costs one radius-r search per dominatee and one per pick (the counter
@@ -65,7 +67,10 @@ class CoreVerificationError(AssertionError):
 
 @dataclass(frozen=True)
 class RemovalStep:
-    """Everything needed to re-check one core removal after the fact."""
+    """Everything needed to re-check one core removal after the fact.
+    ``exchange_class`` is the removal's certificate: ``removed``, the
+    smallest of them, and the next |buy| + 1 members of its class's
+    exchange class, all still in the core when ``removed`` goes."""
 
     removed: int
     dominator: frozenset[int]
@@ -118,9 +123,10 @@ def find_redundant_vertex(
     *,
     witness: frozenset[int] | None = None,
 ) -> tuple[RemovalStep, ...] | None:
-    """One exchange analysis of the core ``inst.z``: a step, with its
-    justification record, for every projection class it certifies, or
-    ``None`` when it certifies none. The caller applies the removals.
+    """One exchange analysis of the core ``inst.z``: one step, with its
+    justification record, per removal it certifies, in the order they are
+    applied, or ``None`` when it certifies none. The caller applies the
+    removals.
 
     Pipeline: approximate a dominator X of the current core, close it at
     triple radius at :func:`default_closure_threshold`, and class the core
@@ -131,10 +137,15 @@ def find_redundant_vertex(
     extraction, and the largest piece R of its split by distance profile
     on the separator (:func:`separator_profiles`) is certified
     when |R| >= |buy| + 2, where buy (recorded in the step) is the class's
-    projection onto the closure plus the separator. A step names the
-    smallest member of its R. The classes depend on X alone, so removals
-    from one class leave every other class, and X's domination of the
-    core, intact. ``witness``, when given, is the scattered lower bound of
+    projection onto the closure plus the separator. With R ascending and
+    need = |buy| + 2, a certified class gives steps removing R[0] ...
+    R[|R| - need], and step i's exchange class is R[i : i + need]: the
+    removed vertex and the next |buy| + 1 members, all still in the core
+    when it goes. Any subset of R keeps R's projection class, distance
+    profile on the separator and scatteredness, so each window certifies
+    its removal alone. The classes depend on X alone, so removals from one
+    class leave every other class, and X's domination of the core,
+    intact. ``witness``, when given, is the scattered lower bound of
     the core, handed to the dominator so that it is not computed again;
     the result is the same without it.
     """
@@ -165,20 +176,23 @@ def find_redundant_vertex(
         exchange = max(subclasses.values(), key=lambda members: (len(members), -members[0]))
         # every member of kappa projects onto x_cl as the class key says
         buy = frozenset(a for a, _ in kappa_key) | qw.separator
-        if len(exchange) < len(buy) + 2:
-            continue
-        steps.append(
-            RemovalStep(
-                removed=exchange[0],
-                dominator=x,
-                closure=x_cl,
-                profile_class=frozenset(kappa),
-                class_count=len(classes),
-                separator=qw.separator,
-                exchange_class=frozenset(exchange),
-                buy=buy,
+        need = len(buy) + 2
+        profile_class = frozenset(kappa)
+        # the exchange inequality: removal i is certified by its own window
+        # of need members, all of them still in the core when it goes
+        for i in range(len(exchange) - need + 1):
+            steps.append(
+                RemovalStep(
+                    removed=exchange[i],
+                    dominator=x,
+                    closure=x_cl,
+                    profile_class=profile_class,
+                    class_count=len(classes),
+                    separator=qw.separator,
+                    exchange_class=frozenset(exchange[i : i + need]),
+                    buy=buy,
+                )
             )
-        )
     return tuple(steps) or None
 
 
@@ -211,15 +225,12 @@ def find_core(
     as ``inst.z`` itself rather than a copy (the default target is at least
     k, so every default-target call with k >= |Z| ends there). Otherwise one
     exchange analysis runs (:func:`find_redundant_vertex`, on the instance
-    whose z is the core that the lower bound read), and each step it returns
-    certifies a batch, applied in step order: the members of the step's
-    exchange class R are removed in ascending id while the rest of R keeps
-    at least |buy| + 2 members (``step.buy``) and the core is above the
-    target. Each removal appends its own :class:`RemovalStep`, whose
-    exchange class is what is left of R. This is sound because X still
-    dominates the smaller core, the closure and the classes do not depend on
-    the core, and any subset of R keeps R's projection class, its distance
-    profile on the separator and its scatteredness. The rejection route is
+    whose z is the core that the lower bound read), and its steps, one per
+    removal, are applied in order while the core is above the target: each
+    removes ``step.removed`` and is appended to the trace as it is. This is
+    sound because X still dominates the smaller core, the closure and the
+    classes do not depend on the core, and each step's exchange class is
+    still in the core when its vertex goes. The rejection route is
     checked once per analysis: a scattered witness of a smaller core also
     certifies the whole instance. The loop stops when an analysis finds
     nothing or the target size is reached. With ``verify`` every removal is
@@ -251,27 +262,12 @@ def find_core(
         if steps is None:
             return state
         for step in steps:
-            members = sorted(step.exchange_class)
-            # the first pass appends the step itself; each later one the
-            # same certificate over what is left of the exchange class
-            for i in range(len(members) - len(step.buy) - 1):
-                if len(z) <= target:
-                    break
-                z.discard(members[i])
-                state.trace.append(
-                    RemovalStep(
-                        removed=members[i],
-                        dominator=step.dominator,
-                        closure=step.closure,
-                        profile_class=step.profile_class,
-                        class_count=step.class_count,
-                        separator=step.separator,
-                        exchange_class=frozenset(members[i:]),
-                        buy=step.buy,
-                    )
-                )
-                if state.verify == "oracle":
-                    _verify_core_after_removal(inst, frozenset(z))
+            if len(z) <= target:
+                break
+            z.discard(step.removed)
+            state.trace.append(step)
+            if state.verify == "oracle":
+                _verify_core_after_removal(inst, frozenset(z))
         if len(z) <= min(target, k):
             return state
 

@@ -243,7 +243,7 @@ class TestCli:
         assert main(["bench", "--plan", str(plan)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "input error: core target must be non-negative, got -1\n"
+        assert captured.err == "input error: line 1: core target must be non-negative, got -1\n"
 
     def test_gadget_round_trip(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.edges"
@@ -294,6 +294,24 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert "line 8: family 'path' needs parameter 'n'" in out.err
+
+    def test_knob_out_of_range_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr("rdomkernel.bench.run_one", ran.append)
+        plan = tmp_path / "plan.txt"
+        first = "family=grid\nw=30\nh=30\nr=2\nk=900\ntarget=0\n\n"
+        for knob, message in [
+            ("r=0\nk=1", "domination radius must be at least 1, got 0"),
+            ("r=1\nk=-1", "budget must be non-negative, got -1"),
+            ("r=1\nk=1\ntarget=-1", "core target must be non-negative, got -1"),
+            ("r=1\nk=1\nverify=7", "verify must be 0 or 1, got 7"),
+        ]:
+            plan.write_text(f"{first}family=path\nn=10\n{knob}\n")
+            assert main(["bench", "--plan", str(plan)]) == 2
+            assert ran == []
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert f"line 8: {message}" in out.err
 
     def test_removed_options_exit_1(self, tmp_path, capsys):
         graph_file = tmp_path / "star.edges"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -319,6 +320,10 @@ class TestBatchedRemovals:
             checked = set()
             for step in state.trace:
                 check_trace_step(g, r, step, checked)
+                # each removal is certified by exactly |buy| + 2 members, all
+                # still in the core before it goes
+                assert len(step.exchange_class) == len(step.buy) + 2
+                assert step.exchange_class <= z
                 # batching relies on X still dominating the core before each removal
                 assert brute_dominates(g, step.dominator, z, r, dist)
                 z.remove(step.removed)
@@ -341,12 +346,17 @@ class TestEveryClassCertified:
         for g, r in cases:
             steps = find_redundant_vertex(full_instance(g, r, k=g.n))
             assert steps
-            many += len(steps) > 1
-            classes = [step.profile_class for step in steps]
+            # one step per removal; a class's steps are contiguous, so each
+            # class heads one run of equal profile classes
+            classes = [c for c, _ in itertools.groupby(step.profile_class for step in steps)]
             assert len(set(classes)) == len(classes)
-            for i, step in enumerate(steps):
-                for later in steps[i + 1 :]:
-                    assert step.exchange_class.isdisjoint(later.exchange_class)
+            many += len(classes) > 1
+            windows: dict[frozenset, set] = {}
+            for step in steps:
+                windows.setdefault(step.profile_class, set()).update(step.exchange_class)
+            for i, c in enumerate(classes):
+                for later in classes[i + 1 :]:
+                    assert windows[c].isdisjoint(windows[later])
             # largest class first, ties to the class holding the smallest vertex
             picks = [(-len(c), min(c)) for c in classes]
             assert picks == sorted(picks)
@@ -494,6 +504,23 @@ class TestAnalysisMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[200] <= 5 * peaks[100], peaks
+
+    def test_trace_memory_grows_linearly(self):
+        # a target-0 run on a spider with 1000 and 4000 one-vertex legs at
+        # r = 1; one exchange class holds nearly every leg, and a window of
+        # |buy| + 2 members per removal keeps the trace linear, where what
+        # is left of the class per removal would grow the peak about 16x
+        peaks = {}
+        for legs in (1000, 4000):
+            g = spider_graph(legs, 1)
+            inst = full_instance(g, 1, k=g.n)
+            tracemalloc.start()
+            try:
+                find_core(inst, target=0)
+                peaks[legs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] <= 5 * peaks[1000], peaks
 
 
 class TestBuildKernelFromCore:
