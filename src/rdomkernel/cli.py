@@ -89,6 +89,12 @@ def _read_vertex_set(spec: str, g: Graph, default_seed: int) -> set[int]:
     return members
 
 
+def _check_cap(cap: int | None):
+    # every instance exceeds a negative cap, so it is bad input, not a cap hit
+    if cap is not None and cap < 0:
+        raise ParseError(f"--cap must be non-negative, got {cap}")
+
+
 def _cmd_gen(args) -> int:
     params = {key: getattr(args, key) for key in PARAMETERS if getattr(args, key) is not None}
     g = generate(GenSpec(args.family, params, args.seed))
@@ -108,6 +114,7 @@ METRICS = {"nu": nu_r, "nuhat": nu_hat_r, "mu": mu_r, "muhat": mu_hat_r, "vc": _
 
 
 def _cmd_complexity(args, g: Graph) -> int:
+    _check_cap(args.cap)
     a = _read_vertex_set(args.set, g, args.seed)
     cap = args.vc_cap if args.metric == "vc" else args.cap
     value = METRICS[args.metric](g, a, args.r, cap)
@@ -148,6 +155,7 @@ def _cmd_closure(args, g: Graph) -> int:
 
 
 def _cmd_solve(args, g: Graph) -> int:
+    _check_cap(args.cap)
     z = set(range(g.n)) if args.z == "all" else _read_vertex_set(args.z, g, args.seed)
     inst = DominationInstance(g, frozenset(z), args.r)
     if args.method == "exact":

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import eq, lt
@@ -358,7 +359,10 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
     the paths that avoid every other target. Vertices not reached are
     absent. No argument checks: this is the shared loop behind every
     single-source radius query, and the public callers validate their
-    inputs with :func:`check_vertices` and :func:`check_radius`.
+    inputs with :func:`check_vertices` and :func:`check_radius`. The
+    weak-coloring sweep, whose searches are many, large and barred from the
+    vertices already swept, uses :func:`_stamped_reach` instead, which
+    builds no dict per search.
     """
     adj = g.adj
     dist = {source: 0}
@@ -380,6 +384,38 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+def _stamped_reach(g: Graph, source: int, r: int, mark: list[int], stamp: int) -> list[int]:
+    """The vertices within radius r of ``source`` over unbarred vertices,
+    ``source`` first, then level by level in the order reached.
+
+    The loop of a many-source sweep. In place of a distance dict per
+    search it marks what it reaches in ``mark``, a list of n ints the
+    caller holds across the sweep: each vertex reached gets
+    ``mark[v] = stamp``, and a vertex whose mark is already at or above
+    ``stamp`` is never entered, neither reached nor expanded. Stamps must
+    therefore strictly increase across the searches that share one list,
+    so that every earlier search's marks lie below the current stamp; a
+    mark the caller sets above every stamp it will use bars that vertex
+    from all later searches. ``source`` itself is always searched from. No
+    argument checks.
+    """
+    adj = g.adj
+    mark[source] = stamp
+    level = reached = [source]
+    for _ in range(r):
+        nxt = []
+        for u in level:
+            for w in adj[u]:
+                if mark[w] < stamp:
+                    mark[w] = stamp
+                    nxt.append(w)
+        if not nxt:
+            break
+        reached += nxt
+        level = nxt
+    return reached
 
 
 def bfs_within(g: Graph, source: int, r: int) -> dict[int, int]:
@@ -444,27 +480,54 @@ def shortest_path(g: Graph, u: int, v: int, r: int) -> list[int] | None:
     return _walk_back(g, dist, u, v)
 
 
+class _IdentityMap(Mapping):
+    """The ``to_sub`` of an induced subgraph that is all of g: each vertex
+    maps to itself, and a lookup returns the very object it was given, so
+    the map holds only the tuple of ids it iterates, not an n-entry dict.
+    Read-only; it compares equal to the dict it stands for."""
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, ids: tuple[int, ...]):
+        self._ids = ids  # 0..n-1, ascending
+
+    def __getitem__(self, v):
+        if v in self:
+            return v
+        raise KeyError(v)
+
+    def __contains__(self, v):
+        return isinstance(v, int) and 0 <= v < len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self):
+        return len(self._ids)
+
+
 @dataclass(frozen=True)
 class SubgraphMap:
     """Bidirectional id map for an induced subgraph."""
 
     to_orig: tuple[int, ...]
-    to_sub: dict[int, int]
+    to_sub: Mapping[int, int]
 
 
 def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
     """Subgraph induced by s, with ids remapped to 0..|s|-1 in ascending
     order of the original ids. A set or frozenset s is sorted as it is,
     without a copy. When s is all of V, g itself is returned, and the
-    identity map's ``to_sub`` maps each id of s to that same int object;
-    otherwise its values are the subgraph's own id objects."""
+    identity map's ``to_sub`` is a read-only mapping that returns each id
+    it is given, the same int object, with no dict behind it; otherwise
+    ``to_sub`` is a dict whose values are the subgraph's own id objects."""
     to_orig = tuple(sorted(s if isinstance(s, (set, frozenset)) else set(s)))
     if to_orig:
         check_vertices(g, (to_orig[0], to_orig[-1]))
     if len(to_orig) == g.n:
         # s is all of V: g (immutable) is its own copy, and the identity
         # map's keys and values are the same objects
-        return g, SubgraphMap(to_orig, dict(zip(to_orig, to_orig)))
+        return g, SubgraphMap(to_orig, _IdentityMap(to_orig))
     # one int object per new id, shared by to_sub and the subgraph's rows
     ids = list(range(len(to_orig)))
     to_sub = dict(zip(to_orig, ids))

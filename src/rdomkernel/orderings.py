@@ -13,6 +13,14 @@ at the vertices already swept, reaches exactly the unswept x with u in
 WReach_r[x]. Each vertex thus costs one bounded search over the vertices
 not yet swept. ``wcol_of_order`` keeps one counter per vertex, O(n)
 memory; only ``wreach_all`` holds the sets, O(sum of |WReach_r|).
+
+The sweep's searches share one list of visit stamps
+(:func:`~rdomkernel.graphs._stamped_reach`), stamped with the rank of
+their source, and a swept vertex is marked n, above every rank, so no
+later search enters it: a search builds no distance dict and reaches only
+what it counts. The single queries (``wreach``) and ``wcol_exact``, whose
+placed set grows and shrinks as it backtracks, search with
+:func:`~rdomkernel.graphs.bounded_bfs`.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeCapError, bounded_bfs, check_radius, check_vertices
+from .graphs import Graph, SizeCapError, _stamped_reach, bounded_bfs, check_radius, check_vertices
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,8 @@ def _check_order(g: Graph, order: Ordering):
 def _reached_above(g: Graph, u: int, r: int, swept) -> list[int]:
     """The vertices outside ``swept`` within distance r of u over paths whose
     interior avoids ``swept``: with ``swept`` the vertices ranked below u,
-    exactly the x that have u in WReach_r[x]."""
+    exactly the x that have u in WReach_r[x]. For ``wcol_exact``, whose
+    ``swept`` is not a prefix of one fixed order."""
     return [x for x in bounded_bfs(g, u, r, swept) if x not in swept]
 
 
@@ -101,13 +110,21 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
 
 def _sweep(g: Graph, order: Ordering, r: int):
     """Yield (u, the x with u in WReach_r[x]) for every u in rank order:
-    one bounded search per vertex over the vertices not yet swept."""
+    one bounded search per vertex over the vertices not yet swept.
+
+    The searches share one stamp list. The search from u stamps what it
+    reaches with u's rank, which grows along the sweep, so no earlier
+    search's marks bar it; once searched, u is marked n, above every rank,
+    so no later search enters it. A swept vertex is thus neither reached
+    nor expanded, which is what the stopped search followed by a filter of
+    the swept vertices gave, without a dict or a filter per search."""
     check_radius(r)
     _check_order(g, order)
-    swept: set[int] = set()
-    for u in order.sequence():
-        yield u, _reached_above(g, u, r, swept)
-        swept.add(u)
+    n = g.n
+    mark = [-1] * n
+    for rank, u in enumerate(order.sequence()):
+        yield u, _stamped_reach(g, u, r, mark, rank)
+        mark[u] = n
 
 
 def wreach_all(g: Graph, order: Ordering, r: int) -> list[set[int]]:

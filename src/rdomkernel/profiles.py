@@ -95,6 +95,14 @@ def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool =
     :func:`bounded_bfs` from each target (with A as its stop set, when
     avoiding) fills in every trace: the cost is O(sum of |N_r[a]| over a
     in A) instead of one search from each of the n vertices.
+
+    Unlike the weak-coloring sweep, these searches do not share a list of
+    visit stamps (:func:`~rdomkernel.graphs._stamped_reach`). The kernel
+    calls this avoiding, at radius r and 3r, with A a large share of V, so
+    most searches reach a handful of vertices, and there a small dict per
+    search costs less than the stamped loop. On a random tree of 10**5
+    vertices at r = 1, the stamped form made the kernel's calls 10-25 %
+    slower.
     """
     check_radius(r)
     targets = frozenset(a)

@@ -163,6 +163,26 @@ class TestCli:
         assert main([*argv, "--vc-cap", "0"]) == 0
         assert capsys.readouterr().out.splitlines()[1].endswith(",vc,1")
 
+    def test_negative_cap_is_an_input_error(self, tmp_path, capsys):
+        # every instance exceeds a negative cap: bad input, not a cap hit
+        graph_file = tmp_path / "p3.edges"
+        graph_file.write_text("0 1\n1 2\n")
+        set_file = tmp_path / "a.txt"
+        set_file.write_text("0 2\n")
+        graph = ["--graph", str(graph_file), "--r", "1"]
+        for argv in (
+            ["complexity", *graph, "--set", str(set_file), "--metric", "nu"],
+            ["complexity", *graph, "--set", str(set_file), "--metric", "muhat"],
+            ["solve", *graph, "--method", "exact"],
+        ):
+            assert main([*argv, "--cap", "-1"]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "input error: --cap must be non-negative, got -1\n"
+            # a cap of 0 is a real cap that every instance here exceeds
+            assert main([*argv, "--cap", "0"]) == 3, argv
+            assert capsys.readouterr().err.startswith("cap exceeded: ")
+
     def test_wcol_csv(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.edges"
         graph_file.write_text("0 1\n1 2\n")

@@ -13,6 +13,7 @@ from rdomkernel.graphs import (
     SizeCapError,
     _load_canonical,
     _load_lines,
+    _stamped_reach,
     ball,
     bfs_within,
     bounded_bfs,
@@ -403,6 +404,43 @@ class TestBoundedBfs:
             assert bounded_bfs(g, u, r, stop | {u}) == bounded_bfs(g, u, r, stop - {u})
 
 
+class TestStampedReach:
+    def test_sweep_over_one_list_matches_bounded_bfs(self):
+        # every source in turn, stamps increasing; in a sweep each searched
+        # source is then barred above every stamp, and a search reaches
+        # what bounded_bfs, stopped at the barred vertices, reaches outside
+        # them, in the same order
+        rng = random.Random(24)
+        sweeps = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 9), rng.random())
+            r = rng.randint(0, 4)
+            sweep = rng.random() < 0.5
+            mark = [-1] * g.n
+            barred: set[int] = set()
+            for stamp, u in enumerate(rng.sample(range(g.n), g.n)):
+                want = [v for v in bounded_bfs(g, u, r, barred) if v not in barred]
+                assert _stamped_reach(g, u, r, mark, stamp) == want
+                if sweep:
+                    mark[u] = g.n
+                    barred.add(u)
+            sweeps += sweep and g.m > 0
+        assert sweeps >= 100, sweeps
+
+    def test_marks_bar_and_stamps_increase(self):
+        g = grid_graph(3, 3)
+        assert _stamped_reach(g, 4, 2, [-1] * 9, 0) == [4, 1, 3, 5, 7, 0, 2, 6, 8]
+        assert _stamped_reach(g, 4, 0, [-1] * 9, 0) == [4]
+        # a mark at or above the stamp bars its vertex: 1 and 3 at stamp 0,
+        # only 1 at stamp 1
+        mark = [-1, 5, -1, 0, -1, -1, -1, -1, -1]
+        assert _stamped_reach(g, 0, 4, mark, 0) == [0]
+        assert _stamped_reach(g, 0, 4, mark, 1) == [0, 3, 4, 6, 5, 7, 2, 8]
+        assert mark == [1, 5, 1, 1, 1, 1, 1, 1, 1]
+        # the next search, one stamp up, sees the last one's marks as stale
+        assert _stamped_reach(g, 8, 1, mark, 2) == [8, 5, 7]
+
+
 class TestBall:
     def test_star(self):
         assert ball(star_graph(3), 0, 1) == {0, 1, 2, 3}
@@ -482,6 +520,25 @@ class TestInducedSubgraph:
         assert sub is g
         assert idmap.to_orig == tuple(range(g.n))
         assert idmap.to_sub == {v: v for v in range(g.n)}
+
+    def test_identity_map_holds_no_dict(self):
+        g = grid_graph(30, 30)
+        _, idmap = induced_subgraph(g, range(g.n))
+        to_sub = idmap.to_sub
+        assert not isinstance(to_sub, dict)
+        assert {v: v for v in range(g.n)} == to_sub and len(to_sub) == g.n
+        assert frozenset(range(g.n)) <= to_sub.keys()
+        # a lookup returns the object it is given: ids above 256 are not
+        # CPython's cached small ints
+        v = int("899")
+        assert to_sub[v] is v and to_sub.get(v) is v
+        for bad in (-1, g.n, "1"):
+            assert bad not in to_sub
+            with pytest.raises(KeyError):
+                to_sub[bad]
+        with pytest.raises(TypeError):
+            to_sub[0] = 1
+        assert list(to_sub) == list(range(g.n))
 
     def test_map_is_bidirectional(self):
         sub, idmap = induced_subgraph(path(5), {1, 3})

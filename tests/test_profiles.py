@@ -28,6 +28,7 @@ from .oracles import (
     brute_vc_dimension,
     random_graph,
     random_sparse_graph,
+    relabelled,
     tie_heavy_graphs,
 )
 
@@ -215,6 +216,65 @@ class TestCounters:
                         assert counter(g, a, r, cap=count) == count
                         with pytest.raises(SizeCapError):
                             counter(g, a, r, cap=count - 1)
+
+
+class TestTargetTraces:
+    """Every vertex's trace, each target's own included, against one search
+    per vertex: ball membership, ``distance_profile``, and
+    ``projection_profile``. A target's avoiding trace is its projection
+    profile on the other targets plus its own (target, 0): the search from
+    each target has that target in its stop set and still expands it."""
+
+    @staticmethod
+    def expected(g, a, r, distances, avoiding):
+        out = []
+        for v in range(g.n):
+            if not avoiding:
+                entries = distance_profile(g, v, a, r).entries
+                assert tuple(t for t, _ in entries) == tuple(sorted(a & ball(g, v, r)))
+            elif v in a:
+                entries = tuple(sorted(projection_profile(g, v, a - {v}, r).entries + ((v, 0),)))
+            else:
+                entries = projection_profile(g, v, a, r).entries
+            out.append(entries if distances else tuple(t for t, _ in entries))
+        return out
+
+    def test_path_with_a_target_in_the_middle(self):
+        g, a = path(5), {0, 2, 4}
+        assert target_traces(g, a, 4, distances=True) == [
+            ((0, 0), (2, 2), (4, 4)),
+            ((0, 1), (2, 1), (4, 3)),
+            ((0, 2), (2, 0), (4, 2)),
+            ((0, 3), (2, 1), (4, 1)),
+            ((0, 4), (2, 2), (4, 0)),
+        ]
+        assert target_traces(g, a, 4, distances=True, avoiding=True) == [
+            ((0, 0), (2, 2)),
+            ((0, 1), (2, 1)),
+            ((0, 2), (2, 0), (4, 2)),
+            ((2, 1), (4, 1)),
+            ((2, 2), (4, 0)),
+        ]
+        assert target_traces(g, a, 1, avoiding=True) == [(0,), (0, 2), (2,), (2, 4), (4,)]
+
+    def test_matches_per_vertex_searches(self):
+        rng = random.Random(23)
+        graphs = list(tie_heavy_graphs(rng, 40, 14, 4))
+        graphs += [relabelled(rng, random_sparse_graph(rng, rng.randint(1, 16))) for _ in range(20)]
+        blocked = 0
+        for g in graphs:
+            sets = [set(), set(rng.sample(range(g.n), rng.randint(1, g.n))), set(range(g.n))]
+            sets.append({v for v in range(g.n) if rng.random() < 0.6})
+            for a in sets:
+                for r in range(4):
+                    for distances in (False, True):
+                        plain = target_traces(g, a, r, distances=distances)
+                        assert plain == self.expected(g, a, r, distances, False), (g, a, r, distances)
+                        avoiding = target_traces(g, a, r, distances=distances, avoiding=True)
+                        assert avoiding == self.expected(g, a, r, distances, True), (g, a, r, distances)
+                        blocked += avoiding != plain
+        # the stop set cut some path in many cases
+        assert blocked >= 200, blocked
 
 
 class TestLayeredGraph:
