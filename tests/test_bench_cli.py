@@ -3,6 +3,7 @@ import stat
 
 import pytest
 
+from rdomkernel import graphs
 from rdomkernel.bench import CSV_HEADER, format_row, parse_plan, run_bench
 from rdomkernel.cli import main
 from rdomkernel.graphs import ParseError, bfs_within, load_edge_list
@@ -246,6 +247,20 @@ class TestCli:
         assert all(0 <= int(tok) < kernel.n for tok in zout.read_text().split())
         header = stats.read_text().splitlines()[0]
         assert header == "stage,z,x,x_cl,classes,s,r_class,removed"
+
+    def test_identity_kernel_writes_its_input(self, tmp_path, capsys, monkeypatch):
+        graph_file = tmp_path / "grid.edges"
+        assert main(["gen", "grid", "--w", "20", "--h", "20", "--out", str(graph_file)]) == 0
+
+        def refuse(*args):
+            raise AssertionError("an identity kernel reads no row")
+
+        monkeypatch.setattr(graphs, "_adjacency", refuse)
+        out = tmp_path / "k.edges"
+        assert main(["kernelize", "--graph", str(graph_file), "--r", "1", "--k", "400", "--out", str(out),
+                     "--zout", str(tmp_path / "k.z"), "--stats", str(tmp_path / "k.csv")]) == 0
+        assert out.read_bytes() == graph_file.read_bytes()
+        assert capsys.readouterr().out == "verdict=kernel n=400 m=760 core=400 removed=0\n"
 
     def test_negative_target_exits_2_before_any_output(self, tmp_path, capsys):
         graph_file = tmp_path / "p30.edges"

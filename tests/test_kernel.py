@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from rdomkernel import kernel, sparsity
+from rdomkernel import graphs, kernel, sparsity
 from rdomkernel.domset import (
     DominationInstance,
     enumerate_min_dominators,
@@ -247,6 +247,43 @@ class TestDefaultTargetSkip:
             result = kernelize(inst)
             assert result.dominatees is inst.z
             assert dump_edge_list(result.graph) is text
+
+    def test_identity_kernel_builds_no_rows(self, monkeypatch):
+        # a graph read from its canonical text builds its rows on first
+        # read, and an identity kernel reads none
+        texts = [dump_edge_list(g) for g in (grid_graph(20, 20), random_tree_graph(300, 5))]
+
+        def refuse(*args):
+            raise AssertionError("an identity kernel reads no row")
+
+        monkeypatch.setattr(graphs, "_adjacency", refuse)
+        for text in texts:
+            g = load_edge_list(text)
+            result = kernelize(full_instance(g, 1, g.n))
+            assert result.graph is g
+            assert dump_edge_list(result.graph) is text
+
+    def test_a_search_builds_the_rows_once(self, monkeypatch):
+        # at k = n - 1 the lower bound reads the rows; at target 0 so do the
+        # analyses and, when one removes a vertex, the kernel build
+        build = graphs._adjacency
+        builds = []
+
+        def counting(n, top, us, vs, presorted):
+            builds.append(us)
+            return build(n, top, us, vs, presorted)
+
+        monkeypatch.setattr(graphs, "_adjacency", counting)
+        for h in (grid_graph(20, 20), random_tree_graph(300, 5)):
+            text = dump_edge_list(h)
+            for k, target in ((h.n - 1, None), (h.n, 0)):
+                g = load_edge_list(text)
+                columns = g._columns[0]
+                builds.clear()
+                result = kernelize(full_instance(g, 1, k), target=target)
+                assert result.verdict == "kernel"
+                assert sum(us is columns for us in builds) == 1
+                assert g.adj == h.adj
 
     def test_bound_below_n_gives_the_same_kernel(self, monkeypatch):
         calls = []
