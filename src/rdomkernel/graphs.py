@@ -105,12 +105,17 @@ class Graph:
     built, ``adj`` is an ordinary attribute of an ordinary ``Graph``.
 
     Immutable, apart from that one deferred build, which is safe to race:
-    concurrent first readers get equal rows. All queries are read-only and
-    safe to share across workers.
+    concurrent first readers get equal rows, and apart from one memo entry
+    of repeated projections (see :func:`~rdomkernel.profiles.projection`),
+    which equality, hashing, copies and pickles ignore. Every entry is
+    filled for its own key only, so a reader that races a reset still gets
+    the right answer. All queries are safe to share across workers.
     """
 
-    # _columns holds a deferred graph's (us, vs, top) until its rows exist
-    __slots__ = ("n", "m", "adj", "text", "_columns")
+    # _columns holds a deferred graph's (us, vs, top) until its rows exist;
+    # _memo is profiles' one projection memo entry, None until the first
+    # projection
+    __slots__ = ("n", "m", "adj", "text", "_columns", "_memo")
 
     def __init__(self, n: int, edges=()):
         pairs = list(edges)
@@ -159,6 +164,8 @@ class Graph:
         vs = list(map(ids.__getitem__, vs))
         del ids
         self.n = n
+        # set here, so that a deferred graph's __getattr__ is never asked
+        self._memo = None
         # presorted pairs are the order dump_edge_list writes
         self.text = text if presorted else None
         if self.text is None:
@@ -193,6 +200,16 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+    def __getstate__(self):
+        # the projection memo belongs to this object, not to the graph: a
+        # copy or a pickle starts without one
+        return {name: getattr(self, name) for name in ("n", "m", "adj", "text")}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._memo = None
 
 
 class _DeferredGraph(Graph):

@@ -11,7 +11,8 @@ the equivalence-classing stages of the kernel pipeline rely on.
 The complexity counters count distinct traces over all vertices. They
 search from the targets' side: one radius-r BFS per target fills in every
 vertex's trace, so a count costs O(sum of |N_r[a]| over a in A), not n
-searches.
+searches. Repeated single projections onto one target set switch to the
+same sweep once they have asked |A| vertices (see :func:`projection`).
 """
 
 from __future__ import annotations
@@ -60,29 +61,88 @@ def _entries(dist: dict[int, int], targets) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(v, dist[v]) for v in dist if v in targets]))
 
 
-def _avoiding_targets(g: Graph, u: int, a) -> frozenset[int]:
-    # frozenset() of a frozenset is the same object, so callers that hold
-    # their target set frozen pay no copy per call.
+def _check_source(g: Graph, u: int, targets: frozenset[int]) -> None:
     check_vertices(g, (u,))
-    targets = frozenset(a)
     if u in targets:
         raise ValueError(f"projection source {u} must lie outside the target set")
-    return targets
+
+
+def _avoiding_entries(g: Graph, u: int, a, r: int) -> tuple[frozenset[int], tuple | None]:
+    """The checked target set of u's projection, and u's projection-profile
+    entries when the graph's memo holds them, else None: the caller then
+    searches from u itself.
+
+    The memo (``g._memo``) is one entry ``[(A, r), calls, traces]``; a call
+    with another key replaces it. The call that brings the key's count to
+    |A| runs one A-avoiding search from each target (an A-avoiding path has
+    the same length read from either end), which fills in ``traces`` for
+    every vertex reached; the calls after it look their trace up. Only a
+    key whose targets and radius passed the checks is stored, so a warm key
+    skips them and raises exactly what a cold one would.
+    """
+    # frozenset() of a frozenset is the same object, so callers that hold
+    # their target set frozen pay no copy per call
+    targets = frozenset(a)
+    key = (targets, r)
+    memo = g._memo
+    if memo is None or memo[0] != key:
+        check_vertices(g, targets)
+        check_radius(r)
+        memo = g._memo = [key, 0, None]
+    _check_source(g, u, targets)
+    traces = memo[2]
+    if traces is None:
+        memo[1] += 1
+        if memo[1] < len(targets):
+            return targets, None
+        memo[2] = traces = _avoiding_traces(g, targets, r)
+    return targets, traces.get(u, ())
+
+
+def _avoiding_traces(g: Graph, targets: frozenset[int], r: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    # the sorted (target, A-avoiding distance) pairs of each vertex some
+    # target reaches: O(sum of |N_r[t]| over t in A), never O(n). A target
+    # has at most r + 1 pairs, so the traces share them.
+    traces: dict[int, list[tuple[int, int]]] = {}
+    for t in sorted(targets):
+        pairs = [(t, d) for d in range(r + 1)]
+        for v, d in bounded_bfs(g, t, r, targets).items():
+            traces.setdefault(v, []).append(pairs[d])
+    return {v: tuple(trace) for v, trace in traces.items()}
 
 
 def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
-    return Profile(_entries(bfs_within(g, u, r), frozenset(a)))
+    targets = frozenset(a)
+    check_vertices(g, targets)
+    return Profile(_entries(bfs_within(g, u, r), targets))
 
 
 def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
-    """Vertices of a reachable from u by an A-avoiding path of length <= r."""
-    targets = _avoiding_targets(g, u, a)
-    return targets.intersection(bounded_bfs(g, u, r, targets))
+    """Vertices of A reachable from u by an A-avoiding path of length <= r.
+
+    The first |A| - 1 calls with one (A, r) each run one search from u.
+    The |A|-th runs one A-avoiding search from each target instead and
+    keeps every vertex's trace in a one-entry memo on ``g``, so the later
+    calls with that key, such as the projections of all vertices, are
+    lookups: n calls cost O(sum of |N_r[t]| over t in A) searching rather
+    than n searches. A call with another key resets the memo. Raises
+    IndexError for a source or target outside g, ValueError for a negative
+    radius or a source in A.
+    """
+    targets, entries = _avoiding_entries(g, u, a, r)
+    if entries is None:
+        return targets.intersection(bounded_bfs(g, u, r, targets))
+    return frozenset([t for t, _ in entries])
 
 
 def projection_profile(g: Graph, u: int, a, r: int) -> Profile:
-    targets = _avoiding_targets(g, u, a)
-    return Profile(_entries(bounded_bfs(g, u, r, targets), targets))
+    """The sorted (target, A-avoiding distance) pairs of u's projection;
+    repeated calls with one (A, r) are answered from the target-side sweep
+    and the memo that :func:`projection` describes, which both share."""
+    targets, entries = _avoiding_entries(g, u, a, r)
+    if entries is None:
+        entries = _entries(bounded_bfs(g, u, r, targets), targets)
+    return Profile(entries)
 
 
 def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool = False) -> list[tuple]:
@@ -179,7 +239,8 @@ def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
 def decode_projection_via_layers(g: Graph, a, r: int, u: int) -> Profile:
     """Projection profile of u recovered from distance profiles in the
     layered expansion; exists as a cross-check of that encoding."""
-    targets = _avoiding_targets(g, u, a)
+    targets = frozenset(a)
+    _check_source(g, u, targets)
     h, _ = layered_graph(g, targets, r)
     dist = bfs_within(h, u, r)  # (u, 0) has id u
     n = g.n

@@ -1,11 +1,17 @@
+import copy
+import pickle
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdomkernel.generators import star_graph, subset_gadget_graph
-from rdomkernel.graphs import Graph, SizeCapError, ball, bfs_within
+from rdomkernel import graphs, profiles
+from rdomkernel.generators import grid_graph, random_tree_graph, star_graph, subset_gadget_graph
+from rdomkernel.graphs import Graph, SizeCapError, ball, bfs_within, bounded_bfs, dump_edge_list, load_edge_list
 from rdomkernel.profiles import (
     SetFamily,
     decode_projection_via_layers,
@@ -191,6 +197,9 @@ class TestCounters:
                 lambda: decode_projection_via_layers(g, {0}, 2, bad),
                 lambda: layered_graph(g, {bad}, 2),
                 lambda: decode_projection_via_layers(g, {bad}, 2, 1),
+                lambda: projection(g, 1, {0, bad}, 2),
+                lambda: projection_profile(g, 1, {0, bad}, 2),
+                lambda: distance_profile(g, 1, {0, bad}, 2),
             ]
             for call in calls:
                 with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=3"):
@@ -199,6 +208,7 @@ class TestCounters:
     def test_negative_radius_raises(self):
         calls = [lambda counter=counter: counter(path(3), {0}, -1) for counter in COUNTERS.values()]
         calls.append(lambda: target_traces(path(3), set(), -1))
+        calls += [lambda query=query: query(path(3), 0, {2}, -1) for query in (projection, projection_profile, distance_profile)]
         for call in calls:
             with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
                 call()
@@ -216,6 +226,197 @@ class TestCounters:
                         assert counter(g, a, r, cap=count) == count
                         with pytest.raises(SizeCapError):
                             counter(g, a, r, cap=count - 1)
+
+
+def avoiding_reference(g, u, a, r):
+    """u's projection and projection-profile entries from one search from u."""
+    targets = frozenset(a)
+    dist = bounded_bfs(g, u, r, targets)
+    entries = tuple(sorted((t, d) for t, d in dist.items() if t in targets))
+    return frozenset(t for t, _ in entries), entries
+
+
+def warm(g, a, r):
+    """Ask every vertex outside A for its projection, so that the memo holds
+    the target-side traces of (A, r) whenever |A| calls were made."""
+    for v in range(g.n):
+        if v not in a:
+            projection(g, v, a, r)
+
+
+class TestProjectionMemo:
+    """Repeated projections onto one (A, r) come from one search per target,
+    kept in a one-entry memo on the graph; nothing outside can tell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_interleaved_calls_match_single_source_searches(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        if rng.random() < 0.5:
+            g = relabelled(rng, random_sparse_graph(rng, rng.randint(2, 16)))
+        else:
+            g = list(tie_heavy_graphs(rng, 4, 14, 4))[rng.randrange(4)]
+        keys = []
+        for _ in range(rng.randint(1, 3)):
+            a = frozenset(rng.sample(range(g.n), rng.randint(0, g.n - 1)))
+            keys.append((a, rng.randint(0, 4)))
+        for _ in range(rng.randint(1, 8)):
+            a, r = rng.choice(keys)
+            outside = [v for v in range(g.n) if v not in a]
+            # runs of up to 2|A| + 2 calls: many keys pass |A| calls
+            calls = rng.randint(1, 2 * len(a) + 2)
+            for _ in range(calls):
+                u = rng.choice(outside)
+                given_a = rng.choice((tuple(sorted(a)), set(a), frozenset(a)))
+                want_set, want_entries = avoiding_reference(g, u, a, r)
+                if rng.random() < 0.5:
+                    assert projection(g, u, given_a, r) == want_set, (g, u, a, r)
+                else:
+                    assert projection_profile(g, u, given_a, r).entries == want_entries, (g, u, a, r)
+            if calls >= len(a):
+                assert g._memo[0] == (a, r) and g._memo[2] is not None
+
+    def test_errors_do_not_depend_on_the_memo(self):
+        # a warm key skips the target and radius checks, so a call that
+        # changes only the source must raise what a cold one raises
+        a = (2, 4)
+        for hot in (False, True):
+            for query in (projection, projection_profile):
+                g = path(5)
+                if hot:
+                    warm(g, a, 3)
+                    assert g._memo[2] is not None
+                for bad_source in (2, 4):
+                    with pytest.raises(ValueError, match=f"projection source {bad_source} must lie outside"):
+                        query(g, bad_source, a, 3)
+                for bad in (5, -1):
+                    with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=5"):
+                        query(g, bad, a, 3)
+                for targets, bad in (((2, 99), 99), ((2, -1), -1)):
+                    with pytest.raises(IndexError, match=f"vertex {bad} out of range for n=5"):
+                        query(g, 0, targets, 3)
+                for targets in ((2,), a):
+                    with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
+                        query(g, 0, targets, -1)
+                assert projection(g, 0, a, 3) == {2}
+                assert projection_profile(g, 3, a, 3).entries == ((2, 1), (4, 1))
+
+    def test_copies_and_pickles_drop_the_memo(self):
+        fresh = grid_graph(6, 6)
+        a = frozenset({0, 7, 20, 35})
+        for g in (grid_graph(6, 6), load_edge_list(dump_edge_list(fresh))):
+            warm(g, a, 3)
+            assert g._memo[2] is not None
+            assert g == fresh and fresh == g and hash(g) == hash(fresh)
+            for clone in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
+                h = clone(g)
+                assert type(h) is Graph and h._memo is None
+                assert h == fresh and hash(h) == hash(fresh) and (h.n, h.m) == (fresh.n, fresh.m)
+                assert [projection(h, v, a, 3) for v in range(1, 7)] == [projection(fresh, v, a, 3) for v in range(1, 7)]
+
+    def test_a_projection_sweep_builds_the_rows_once(self, monkeypatch):
+        build = graphs._adjacency
+        builds = []
+
+        def counting(n, top, us, vs, presorted):
+            builds.append(us)
+            return build(n, top, us, vs, presorted)
+
+        texts = [dump_edge_list(h) for h in (grid_graph(20, 20), random_tree_graph(300, 5))]
+        monkeypatch.setattr(graphs, "_adjacency", counting)
+        for text in texts:
+            g = load_edge_list(text)
+            builds.clear()
+            a = frozenset(range(0, g.n, 37))
+            warm(g, a, 4)
+            for v in range(g.n):
+                if v not in a:
+                    projection_profile(g, v, a, 4)
+            assert g._memo[2] is not None and len(builds) == 1
+
+    def test_searches_per_call(self, monkeypatch):
+        # calls 1 .. |A| - 1 search once from the source, call |A| once from
+        # each target, and every later call with that key is a lookup
+        searches = []
+        search = profiles.bounded_bfs
+
+        def counting(g, source, r, stop=()):
+            searches.append(source)
+            return search(g, source, r, stop)
+
+        monkeypatch.setattr(profiles, "bounded_bfs", counting)
+        a = (3, 30, 55, 78, 99)
+        for query in (projection, projection_profile):
+            g = grid_graph(10, 10)
+            searches.clear()
+            query(g, 0, a, 3)
+            assert searches == [0]
+            for u in (1, 2, 4):
+                searches.clear()
+                query(g, u, a, 3)
+                assert searches == [u]
+            searches.clear()
+            query(g, 5, a, 3)
+            assert searches == list(a)
+            searches.clear()
+            for u in range(6, 30):
+                query(g, u, a, 3)
+            assert searches == []
+        # a new key starts counting again
+        searches.clear()
+        projection(g, 0, a, 2)
+        assert searches == [0]
+
+    def test_the_memo_holds_one_entry(self):
+        g = grid_graph(30, 30)
+        rng = random.Random(4)
+        keys = [frozenset(rng.sample(range(g.n), 10)) for _ in range(40)]
+        warm(g, keys[0], 3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            g._memo = None
+            warm(g, keys[0], 3)
+            one = tracemalloc.get_traced_memory()[0] - start
+            for a in keys[1:] + keys[:1]:
+                warm(g, a, 3)
+            after = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert g._memo[0] == (keys[0], 3) and g._memo[2] is not None
+        # one entry holds about 10 targets x 25 ball members; forty would
+        # hold forty times that
+        assert one > 4000 and after < 1.5 * one, (one, after)
+
+    def test_threads_sharing_a_graph_get_right_answers(self):
+        # a reset that races a sweep can only lose a count, never mix keys
+        g = random_tree_graph(400, 2)
+        keys = [(frozenset(range(0, 400, 13)), 3), (frozenset(range(5, 400, 29)), 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        errors = []
+
+        def ask(i):
+            rng = random.Random(i)
+            try:
+                for _ in range(300):
+                    a, r = rng.choice(keys)
+                    u = rng.choice([v for v in range(g.n) if v not in a])
+                    if projection_profile(g, u, a, r).entries != avoiding_reference(g, u, a, r)[1]:
+                        errors.append((u, r))
+            except Exception as exc:  # recorded and asserted on below
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestTargetTraces:
