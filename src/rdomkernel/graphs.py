@@ -105,17 +105,15 @@ class Graph:
     built, ``adj`` is an ordinary attribute of an ordinary ``Graph``.
 
     Immutable, apart from that one deferred build, which is safe to race:
-    concurrent first readers get equal rows, and apart from one memo entry
-    of repeated projections (see :func:`~rdomkernel.profiles.projection`),
-    which equality, hashing, copies and pickles ignore. Every entry is
-    filled for its own key only, so a reader that races a reset still gets
-    the right answer. All queries are safe to share across workers.
+    concurrent first readers get equal rows. All queries are read-only and
+    safe to share across workers. A graph can be weakly referenced, which
+    :func:`~rdomkernel.profiles.projection` uses to tell the graph its memo
+    belongs to without keeping it alive.
     """
 
     # _columns holds a deferred graph's (us, vs, top) until its rows exist;
-    # _memo is profiles' one projection memo entry, None until the first
-    # projection
-    __slots__ = ("n", "m", "adj", "text", "_columns", "_memo")
+    # copies and pickles leave __weakref__ out
+    __slots__ = ("n", "m", "adj", "text", "_columns", "__weakref__")
 
     def __init__(self, n: int, edges=()):
         pairs = list(edges)
@@ -164,8 +162,6 @@ class Graph:
         vs = list(map(ids.__getitem__, vs))
         del ids
         self.n = n
-        # set here, so that a deferred graph's __getattr__ is never asked
-        self._memo = None
         # presorted pairs are the order dump_edge_list writes
         self.text = text if presorted else None
         if self.text is None:
@@ -200,16 +196,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-    def __getstate__(self):
-        # the projection memo belongs to this object, not to the graph: a
-        # copy or a pickle starts without one
-        return {name: getattr(self, name) for name in ("n", "m", "adj", "text")}
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._memo = None
 
 
 class _DeferredGraph(Graph):
@@ -439,10 +425,13 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
     Vertices of ``stop`` get a distance when reached but are never expanded,
     except ``source`` itself, which is always expanded: a search from a
     member of a target set, with the whole set as ``stop``, follows exactly
-    the paths that avoid every other target. Vertices not reached are
-    absent. No argument checks: this is the shared loop behind every
-    single-source radius query, and the public callers validate their
-    inputs with :func:`check_vertices` and :func:`check_radius`. The
+    the paths that avoid every other target. The search asks ``stop`` once
+    about each vertex but ``source`` that it would expand, just before it
+    would scan that vertex's row, so a container can meter the search.
+    Vertices not reached are absent. No argument checks: this is the shared
+    loop behind every single-source radius query, and the public callers
+    validate their inputs with :func:`check_vertices` and
+    :func:`check_radius`. The
     weak-coloring sweep, whose searches are many, large and barred from the
     vertices already swept, uses :func:`_stamped_reach` instead, which
     builds no dict per search.

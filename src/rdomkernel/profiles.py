@@ -12,12 +12,15 @@ The complexity counters count distinct traces over all vertices. They
 search from the targets' side: one radius-r BFS per target fills in every
 vertex's trace, so a count costs O(sum of |N_r[a]| over a in A), not n
 searches. Repeated single projections onto one target set switch to the
-same sweep once they have asked |A| vertices (see :func:`projection`).
+same sweep once their own searches have cost about as much (see
+:func:`projection`).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graphs import Graph, SizeCapError, bfs_within, bounded_bfs, check_radius, check_vertices
@@ -67,48 +70,117 @@ def _check_source(g: Graph, u: int, targets: frozenset[int]) -> None:
         raise ValueError(f"projection source {u} must lie outside the target set")
 
 
-def _avoiding_entries(g: Graph, u: int, a, r: int) -> tuple[frozenset[int], tuple | None]:
-    """The checked target set of u's projection, and u's projection-profile
-    entries when the graph's memo holds them, else None: the caller then
-    searches from u itself.
+class _Memo:
+    # the last graph and (A, r) asked for a projection: a weak reference to
+    # the graph, the key, the calls made with it and the vertices their
+    # searches from sources reached, the limit of the last sweep tried, and
+    # the traces once a sweep finished. Copies and pickles of a graph are
+    # other objects, so they never share it.
+    __slots__ = ("graph", "key", "calls", "reached", "limit", "traces")
 
-    The memo (``g._memo``) is one entry ``[(A, r), calls, traces]``; a call
-    with another key replaces it. The call that brings the key's count to
-    |A| runs one A-avoiding search from each target (an A-avoiding path has
-    the same length read from either end), which fills in ``traces`` for
-    every vertex reached; the calls after it look their trace up. Only a
-    key whose targets and radius passed the checks is stored, so a warm key
+    def __init__(self, g: Graph, key: tuple[frozenset[int], int], reached: int):
+        self.graph = weakref.ref(g, _forget)
+        self.key = key
+        self.calls = 1
+        self.reached = reached
+        self.limit = 0
+        self.traces: dict[int, tuple] | None = None
+
+
+_memo: _Memo | None = None
+
+
+def _forget(ref) -> None:
+    # the graph is gone: drop its traces now, not at the next new key
+    global _memo
+    memo = _memo
+    if memo is not None and memo.graph is ref:
+        _memo = None
+
+
+def _avoiding_search(g: Graph, u: int, a, r: int) -> tuple[frozenset[int], dict[int, int] | None, tuple | None]:
+    """The checked target set of u's projection, then either the distances
+    of one A-avoiding search from u and None, or None and u's
+    projection-profile entries, when the memo holds them.
+
+    A call with a new graph or (A, r) replaces the memo and searches from
+    u. A later call with the same key searches from u too. From the key's
+    |A|-th call on, whenever the key's searches have reached at least
+    twice as many vertices as the limit of the last try, the call then
+    tries the target-side sweep of :func:`target_traces`, limited to scan
+    no more adjacency entries than those searches reached vertices. A
+    sweep that finishes stores every reached vertex's trace, and the calls
+    after it look their trace up. A search scans an entry for each vertex
+    it reaches but its source, so each try costs no more than the searches
+    before it (give or take one entry per search), the limits at least
+    double, and all tries together cost at most twice the searches; a
+    sweep finishes once the searches have reached as many vertices as it
+    scans entries. Fewer than |A| calls with a key try nothing. Only a key
+    whose targets and radius passed the checks is stored, so a warm key
     skips them and raises exactly what a cold one would.
     """
+    global _memo
     # frozenset() of a frozenset is the same object, so callers that hold
     # their target set frozen pay no copy per call
     targets = frozenset(a)
     key = (targets, r)
-    memo = g._memo
-    if memo is None or memo[0] != key:
+    memo = _memo
+    if memo is None or memo.graph() is not g or memo.key != key:
         check_vertices(g, targets)
         check_radius(r)
-        memo = g._memo = [key, 0, None]
+        _check_source(g, u, targets)
+        dist = bounded_bfs(g, u, r, targets)
+        _memo = _Memo(g, key, len(dist))
+        return targets, dist, None
     _check_source(g, u, targets)
-    traces = memo[2]
-    if traces is None:
-        memo[1] += 1
-        if memo[1] < len(targets):
-            return targets, None
-        memo[2] = traces = _avoiding_traces(g, targets, r)
-    return targets, traces.get(u, ())
+    traces = memo.traces
+    if traces is not None:
+        return targets, None, traces.get(u, ())
+    dist = bounded_bfs(g, u, r, targets)
+    memo.calls += 1
+    memo.reached += len(dist)
+    if memo.calls >= len(targets) and memo.reached >= 2 * memo.limit:
+        memo.limit = memo.reached
+        memo.traces = _limited_sweep(g, targets, r, memo.limit)
+    return targets, dist, None
 
 
-def _avoiding_traces(g: Graph, targets: frozenset[int], r: int) -> dict[int, tuple[tuple[int, int], ...]]:
-    # the sorted (target, A-avoiding distance) pairs of each vertex some
-    # target reaches: O(sum of |N_r[t]| over t in A), never O(n). A target
-    # has at most r + 1 pairs, so the traces share them.
-    traces: dict[int, list[tuple[int, int]]] = {}
-    for t in sorted(targets):
-        pairs = [(t, d) for d in range(r + 1)]
-        for v, d in bounded_bfs(g, t, r, targets).items():
-            traces.setdefault(v, []).append(pairs[d])
-    return {v: tuple(trace) for v, trace in traces.items()}
+class _OverLimit(Exception):
+    pass
+
+
+class _Meter:
+    # the stop set of a limited sweep: bounded_bfs asks it about each vertex
+    # just before it would scan the vertex's row, so it charges the row then
+    __slots__ = ("targets", "adj", "left")
+
+    def __init__(self, targets: frozenset[int], adj, left: int):
+        self.targets, self.adj, self.left = targets, adj, left
+
+    def __contains__(self, v: int) -> bool:
+        if v in self.targets:
+            return True
+        self.left -= len(self.adj[v])
+        if self.left < 0:
+            raise _OverLimit
+        return False
+
+
+def _limited_sweep(g: Graph, targets: frozenset[int], r: int, limit: int) -> dict[int, tuple] | None:
+    # the avoiding (target, distance) traces of every vertex some target
+    # reaches, or None once the sweep would scan more than ``limit``
+    # adjacency entries; each search scans its own target's row unasked
+    adj = g.adj
+    if r > 0:
+        limit -= sum([len(adj[t]) for t in targets])
+    if limit < 0:
+        return None
+    found: defaultdict[int, list] = defaultdict(list)
+    try:
+        _sweep(g, targets, r, found, True, _Meter(targets, adj, limit))
+    except _OverLimit:
+        return None
+    return {v: tuple(trace) for v, trace in found.items()}
 
 
 def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
@@ -120,29 +192,43 @@ def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
 def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
     """Vertices of A reachable from u by an A-avoiding path of length <= r.
 
-    The first |A| - 1 calls with one (A, r) each run one search from u.
-    The |A|-th runs one A-avoiding search from each target instead and
-    keeps every vertex's trace in a one-entry memo on ``g``, so the later
-    calls with that key, such as the projections of all vertices, are
-    lookups: n calls cost O(sum of |N_r[t]| over t in A) searching rather
-    than n searches. A call with another key resets the memo. Raises
+    One call searches from u, and so do the first |A| - 1 calls onto one
+    (A, r) and one graph. Later calls switch to one A-avoiding search from
+    each target, as :func:`target_traces` makes, once the searches from
+    their sources have cost about as much as that sweep; the calls after
+    it are lookups in a one-entry memo. Asking every vertex then costs
+    O(sum of |N_r[t]| over t in A) rather than n searches, and no call
+    pattern pays much more than three times its searches from the
+    sources. A call with another graph or key replaces the memo. Raises
     IndexError for a source or target outside g, ValueError for a negative
     radius or a source in A.
     """
-    targets, entries = _avoiding_entries(g, u, a, r)
+    targets, dist, entries = _avoiding_search(g, u, a, r)
     if entries is None:
-        return targets.intersection(bounded_bfs(g, u, r, targets))
+        return targets.intersection(dist)
     return frozenset([t for t, _ in entries])
 
 
 def projection_profile(g: Graph, u: int, a, r: int) -> Profile:
     """The sorted (target, A-avoiding distance) pairs of u's projection;
-    repeated calls with one (A, r) are answered from the target-side sweep
-    and the memo that :func:`projection` describes, which both share."""
-    targets, entries = _avoiding_entries(g, u, a, r)
+    repeated calls share the target-side sweep and the memo of
+    :func:`projection`."""
+    targets, dist, entries = _avoiding_search(g, u, a, r)
     if entries is None:
-        entries = _entries(bounded_bfs(g, u, r, targets), targets)
+        entries = _entries(dist, targets)
     return Profile(entries)
+
+
+def _sweep(g: Graph, targets, r: int, traces, distances: bool, stop) -> None:
+    # one search from each target appends t, or with ``distances`` (t, d),
+    # to traces[v] for every vertex v it reaches
+    for t in sorted(targets):
+        if distances:
+            for v, d in bounded_bfs(g, t, r, stop).items():
+                traces[v].append((t, d))
+        else:
+            for v in bounded_bfs(g, t, r, stop):
+                traces[v].append(t)
 
 
 def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool = False) -> list[tuple]:
@@ -167,15 +253,8 @@ def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool =
     check_radius(r)
     targets = frozenset(a)
     check_vertices(g, targets)
-    stop = targets if avoiding else ()
     traces: list[list] = [[] for _ in range(g.n)]
-    for t in sorted(targets):
-        if distances:
-            for v, d in bounded_bfs(g, t, r, stop).items():
-                traces[v].append((t, d))
-        else:
-            for v in bounded_bfs(g, t, r, stop):
-                traces[v].append(t)
+    _sweep(g, targets, r, traces, distances, targets if avoiding else ())
     return [tuple(trace) for trace in traces]
 
 

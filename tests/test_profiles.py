@@ -3,7 +3,6 @@ import pickle
 import random
 import sys
 import threading
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -237,35 +236,61 @@ def avoiding_reference(g, u, a, r):
 
 
 def warm(g, a, r):
-    """Ask every vertex outside A for its projection, so that the memo holds
-    the target-side traces of (A, r) whenever |A| calls were made."""
-    for v in range(g.n):
-        if v not in a:
+    """Ask the vertices outside A for their projections, round after round,
+    until the memo holds the target-side traces of (g, A, r)."""
+    outside = [v for v in range(g.n) if v not in a]
+    for _ in range(20):
+        for v in outside:
             projection(g, v, a, r)
+        if profiles._memo.traces is not None:
+            return
+    raise AssertionError("no sweep finished")
+
+
+def counting_searches(monkeypatch):
+    """Record the vertices reached by each search from a source, and the
+    limit of each sweep tried with whether it finished."""
+    asked, tried = [], []
+    search, sweep = profiles.bounded_bfs, profiles._limited_sweep
+
+    def counting_search(g, source, r, stop=()):
+        dist = search(g, source, r, stop)
+        if not isinstance(stop, profiles._Meter):
+            asked.append(len(dist))
+        return dist
+
+    def counting_sweep(g, targets, r, limit):
+        traces = sweep(g, targets, r, limit)
+        tried.append((limit, traces is not None))
+        return traces
+
+    monkeypatch.setattr(profiles, "bounded_bfs", counting_search)
+    monkeypatch.setattr(profiles, "_limited_sweep", counting_sweep)
+    return asked, tried
 
 
 class TestProjectionMemo:
-    """Repeated projections onto one (A, r) come from one search per target,
-    kept in a one-entry memo on the graph; nothing outside can tell."""
+    """Repeated projections onto one graph and (A, r) switch to one search
+    per target once their own searches have cost about as much; nothing
+    outside can tell."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_interleaved_calls_match_single_source_searches(self, data):
         rng = random.Random(data.draw(st.integers(0, 10**6)))
-        if rng.random() < 0.5:
-            g = relabelled(rng, random_sparse_graph(rng, rng.randint(2, 16)))
-        else:
-            g = list(tie_heavy_graphs(rng, 4, 14, 4))[rng.randrange(4)]
         keys = []
-        for _ in range(rng.randint(1, 3)):
-            a = frozenset(rng.sample(range(g.n), rng.randint(0, g.n - 1)))
-            keys.append((a, rng.randint(0, 4)))
+        for _ in range(2):
+            if rng.random() < 0.5:
+                g = relabelled(rng, random_sparse_graph(rng, rng.randint(2, 16)))
+            else:
+                g = list(tie_heavy_graphs(rng, 4, 14, 4))[rng.randrange(4)]
+            for _ in range(rng.randint(1, 2)):
+                keys.append((g, frozenset(rng.sample(range(g.n), rng.randint(0, g.n - 1))), rng.randint(0, 4)))
         for _ in range(rng.randint(1, 8)):
-            a, r = rng.choice(keys)
+            g, a, r = rng.choice(keys)
             outside = [v for v in range(g.n) if v not in a]
-            # runs of up to 2|A| + 2 calls: many keys pass |A| calls
-            calls = rng.randint(1, 2 * len(a) + 2)
-            for _ in range(calls):
+            # runs of up to 2n calls: many of them reach a finished sweep
+            for _ in range(rng.randint(1, 2 * g.n)):
                 u = rng.choice(outside)
                 given_a = rng.choice((tuple(sorted(a)), set(a), frozenset(a)))
                 want_set, want_entries = avoiding_reference(g, u, a, r)
@@ -273,8 +298,6 @@ class TestProjectionMemo:
                     assert projection(g, u, given_a, r) == want_set, (g, u, a, r)
                 else:
                     assert projection_profile(g, u, given_a, r).entries == want_entries, (g, u, a, r)
-            if calls >= len(a):
-                assert g._memo[0] == (a, r) and g._memo[2] is not None
 
     def test_errors_do_not_depend_on_the_memo(self):
         # a warm key skips the target and radius checks, so a call that
@@ -285,7 +308,6 @@ class TestProjectionMemo:
                 g = path(5)
                 if hot:
                     warm(g, a, 3)
-                    assert g._memo[2] is not None
                 for bad_source in (2, 4):
                     with pytest.raises(ValueError, match=f"projection source {bad_source} must lie outside"):
                         query(g, bad_source, a, 3)
@@ -301,18 +323,56 @@ class TestProjectionMemo:
                 assert projection(g, 0, a, 3) == {2}
                 assert projection_profile(g, 3, a, 3).entries == ((2, 1), (4, 1))
 
-    def test_copies_and_pickles_drop_the_memo(self):
+    def test_single_calls_search_once_and_sweeps_stay_within_the_searches(self, monkeypatch):
+        asked, tried = counting_searches(monkeypatch)
+        # one call, even onto the centre of a large star, is one search
+        for query in (projection, projection_profile):
+            g = star_graph(10**5)
+            asked.clear()
+            query(g, 7, (0,), 1)
+            assert asked == [2] and tried == []
+        # leaves asking about the centre, or pendants asking about a leaf
+        # next to it, never pay for the centre's row: the sweeps are tried,
+        # and each gives up before it scans more than the searches reached
+        n = 10**5
+        g = Graph(n + 51, [(0, v) for v in range(1, n + 1)] + [(1, v) for v in range(n + 1, n + 51)])
+        for sources, a, r in ((range(2, 502), (0,), 1), (range(n + 1, n + 51), (1,), 2)):
+            asked.clear()
+            tried.clear()
+            for u in sources:
+                assert projection(g, u, a, r) == set(a)
+            assert asked == [2] * len(sources) and profiles._memo.traces is None
+            assert tried and not any(done for _, done in tried)
+            assert sum(limit for limit, _ in tried) <= 2 * sum(asked)
+        # on a grid, fewer than |A| calls try nothing, the sweep finishes,
+        # and every later call is a lookup
+        g = grid_graph(20, 20)
+        a = (3, 30, 55, 78, 99, 250, 399)
+        asked.clear()
+        tried.clear()
+        for u in (0, 1, 2, 4, 5, 6):
+            projection(g, u, a, 3)
+        assert len(asked) == 6 and tried == []
+        warm(g, a, 3)
+        assert len(asked) < 400 and sum(limit for limit, _ in tried) <= 2 * sum(asked), (asked, tried)
+        assert tried[-1][1] and not any(done for _, done in tried[:-1])
+        asked.clear()
+        for query in (projection, projection_profile):
+            for u in range(100, 200):
+                query(g, u, a, 3)
+        assert asked == []
+
+    def test_copies_and_pickles_are_other_graphs(self):
         fresh = grid_graph(6, 6)
         a = frozenset({0, 7, 20, 35})
         for g in (grid_graph(6, 6), load_edge_list(dump_edge_list(fresh))):
             warm(g, a, 3)
-            assert g._memo[2] is not None
-            assert g == fresh and fresh == g and hash(g) == hash(fresh)
             for clone in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
                 h = clone(g)
-                assert type(h) is Graph and h._memo is None
-                assert h == fresh and hash(h) == hash(fresh) and (h.n, h.m) == (fresh.n, fresh.m)
-                assert [projection(h, v, a, 3) for v in range(1, 7)] == [projection(fresh, v, a, 3) for v in range(1, 7)]
+                assert type(h) is Graph and h == fresh and hash(h) == hash(fresh) and (h.n, h.m) == (fresh.n, fresh.m)
+                want = [projection(fresh, v, a, 3) for v in range(1, 7)]
+                assert [projection(h, v, a, 3) for v in range(1, 7)] == want
+                assert profiles._memo.graph() is h
 
     def test_a_projection_sweep_builds_the_rows_once(self, monkeypatch):
         build = graphs._adjacency
@@ -332,66 +392,24 @@ class TestProjectionMemo:
             for v in range(g.n):
                 if v not in a:
                     projection_profile(g, v, a, 4)
-            assert g._memo[2] is not None and len(builds) == 1
+            assert len(builds) == 1
 
-    def test_searches_per_call(self, monkeypatch):
-        # calls 1 .. |A| - 1 search once from the source, call |A| once from
-        # each target, and every later call with that key is a lookup
-        searches = []
-        search = profiles.bounded_bfs
+    def test_another_graph_with_the_same_key_gets_its_own_answers(self):
+        g, h = path(6), cycle(6)
+        warm(g, (0,), 3)
+        assert projection(h, 5, (0,), 3) == {0} and projection(g, 5, (0,), 3) == frozenset()
 
-        def counting(g, source, r, stop=()):
-            searches.append(source)
-            return search(g, source, r, stop)
-
-        monkeypatch.setattr(profiles, "bounded_bfs", counting)
-        a = (3, 30, 55, 78, 99)
-        for query in (projection, projection_profile):
-            g = grid_graph(10, 10)
-            searches.clear()
-            query(g, 0, a, 3)
-            assert searches == [0]
-            for u in (1, 2, 4):
-                searches.clear()
-                query(g, u, a, 3)
-                assert searches == [u]
-            searches.clear()
-            query(g, 5, a, 3)
-            assert searches == list(a)
-            searches.clear()
-            for u in range(6, 30):
-                query(g, u, a, 3)
-            assert searches == []
-        # a new key starts counting again
-        searches.clear()
-        projection(g, 0, a, 2)
-        assert searches == [0]
-
-    def test_the_memo_holds_one_entry(self):
+    def test_the_memo_lets_its_graph_go(self):
         g = grid_graph(30, 30)
-        rng = random.Random(4)
-        keys = [frozenset(rng.sample(range(g.n), 10)) for _ in range(40)]
-        warm(g, keys[0], 3)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            g._memo = None
-            warm(g, keys[0], 3)
-            one = tracemalloc.get_traced_memory()[0] - start
-            for a in keys[1:] + keys[:1]:
-                warm(g, a, 3)
-            after = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
-        assert g._memo[0] == (keys[0], 3) and g._memo[2] is not None
-        # one entry holds about 10 targets x 25 ball members; forty would
-        # hold forty times that
-        assert one > 4000 and after < 1.5 * one, (one, after)
+        warm(g, frozenset(range(0, 900, 97)), 3)
+        assert profiles._memo.graph() is g
+        del g
+        assert profiles._memo is None
 
-    def test_threads_sharing_a_graph_get_right_answers(self):
+    def test_threads_sharing_graphs_get_right_answers(self):
         # a reset that races a sweep can only lose a count, never mix keys
-        g = random_tree_graph(400, 2)
-        keys = [(frozenset(range(0, 400, 13)), 3), (frozenset(range(5, 400, 29)), 4)]
+        g, h = random_tree_graph(400, 2), grid_graph(20, 20)
+        keys = [(g, frozenset(range(0, 400, 13)), 3), (g, frozenset(range(5, 400, 29)), 4), (h, frozenset(range(0, 400, 31)), 3)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         errors = []
@@ -400,9 +418,9 @@ class TestProjectionMemo:
             rng = random.Random(i)
             try:
                 for _ in range(300):
-                    a, r = rng.choice(keys)
-                    u = rng.choice([v for v in range(g.n) if v not in a])
-                    if projection_profile(g, u, a, r).entries != avoiding_reference(g, u, a, r)[1]:
+                    f, a, r = keys[0] if rng.random() < 0.6 else rng.choice(keys)
+                    u = rng.choice([v for v in range(f.n) if v not in a])
+                    if projection_profile(f, u, a, r).entries != avoiding_reference(f, u, a, r)[1]:
                         errors.append((u, r))
             except Exception as exc:  # recorded and asserted on below
                 errors.append(exc)
