@@ -154,8 +154,6 @@ def find_redundant_vertex(
     closure = r_closure(g, x, 3 * r, default_closure_threshold(g))
     x_cl = closure.closure
     outside = [u for u in sorted(inst.z) if u not in x_cl]
-    if not outside:
-        return None
     # for u outside x_cl its trace is projection_profile(g, u, x_cl, 3r).entries
     traces = closure.traces
     classes: dict[tuple, list[int]] = {}

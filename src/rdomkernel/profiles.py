@@ -13,7 +13,8 @@ search from the targets' side: one radius-r BFS per target fills in every
 vertex's trace, so a count costs O(sum of |N_r[a]| over a in A), not n
 searches. Repeated single projections onto one target set switch to the
 same sweep once their own searches have cost about as much (see
-:func:`projection`).
+:func:`projection`); a projection profile or a distance profile is one
+search per call.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ class _Memo:
     # the last graph and (A, r) asked for a projection: a weak reference to
     # the graph, the key, the calls made with it and the vertices their
     # searches from sources reached, the limit of the last sweep tried, and
-    # the traces once a sweep finished. Copies and pickles of a graph are
-    # other objects, so they never share it.
-    __slots__ = ("graph", "key", "calls", "reached", "limit", "traces")
+    # the projections once a sweep finished. Copies and pickles of a graph
+    # are other objects, so they never share it.
+    __slots__ = ("graph", "key", "calls", "reached", "limit", "projections")
 
     def __init__(self, g: Graph, key: tuple[frozenset[int], int], reached: int):
         self.graph = weakref.ref(g, _forget)
@@ -84,40 +85,78 @@ class _Memo:
         self.calls = 1
         self.reached = reached
         self.limit = 0
-        self.traces: dict[int, tuple] | None = None
+        self.projections: dict[int, frozenset[int]] | None = None
 
 
 _memo: _Memo | None = None
+_EMPTY: frozenset[int] = frozenset()
 
 
 def _forget(ref) -> None:
-    # the graph is gone: drop its traces now, not at the next new key
+    # the graph is gone: drop its projections now, not at the next new key
     global _memo
     memo = _memo
     if memo is not None and memo.graph is ref:
         _memo = None
 
 
-def _avoiding_search(g: Graph, u: int, a, r: int) -> tuple[frozenset[int], dict[int, int] | None, tuple | None]:
-    """The checked target set of u's projection, then either the distances
-    of one A-avoiding search from u and None, or None and u's
-    projection-profile entries, when the memo holds them.
+class _Meter:
+    # the stop set of a limited sweep: bounded_bfs asks it about each vertex
+    # just before it would scan the vertex's row, so it charges the row
+    # then, and once the budget is spent it stops at every vertex
+    __slots__ = ("targets", "adj", "left")
 
-    A call with a new graph or (A, r) replaces the memo and searches from
-    u. A later call with the same key searches from u too. From the key's
-    |A|-th call on, whenever the key's searches have reached at least
-    twice as many vertices as the limit of the last try, the call then
-    tries the target-side sweep of :func:`target_traces`, limited to scan
-    no more adjacency entries than those searches reached vertices. A
-    sweep that finishes stores every reached vertex's trace, and the calls
-    after it look their trace up. A search scans an entry for each vertex
-    it reaches but its source, so each try costs no more than the searches
-    before it (give or take one entry per search), the limits at least
-    double, and all tries together cost at most twice the searches; a
-    sweep finishes once the searches have reached as many vertices as it
-    scans entries. Fewer than |A| calls with a key try nothing. Only a key
-    whose targets and radius passed the checks is stored, so a warm key
-    skips them and raises exactly what a cold one would.
+    def __init__(self, targets: frozenset[int], adj, left: int):
+        self.targets, self.adj, self.left = targets, adj, left
+
+    def __contains__(self, v: int) -> bool:
+        if self.left < 0 or v in self.targets:
+            return True
+        self.left -= len(self.adj[v])
+        return self.left < 0
+
+
+def _limited_sweep(g: Graph, targets: frozenset[int], r: int, limit: int) -> dict[int, frozenset[int]] | None:
+    # the projection of every vertex some target reaches, or None once the
+    # sweep would scan more than ``limit`` adjacency entries; each search
+    # scans its own target's row unasked
+    adj = g.adj
+    if r > 0:
+        limit -= sum([len(adj[t]) for t in targets])
+    if limit < 0:
+        return None
+    meter = _Meter(targets, adj, limit)
+    found: defaultdict[int, list] = defaultdict(list)
+    _sweep(g, targets, r, found, False, meter)
+    if meter.left < 0:
+        return None
+    return {v: frozenset(trace) for v, trace in found.items()}
+
+
+def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
+    targets = frozenset(a)
+    check_vertices(g, targets)
+    return Profile(_entries(bfs_within(g, u, r), targets))
+
+
+def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
+    """Vertices of A reachable from u by an A-avoiding path of length <= r.
+
+    One call is one A-avoiding search from u, and so are the first |A| - 1
+    calls onto one graph and (A, r). From the key's |A|-th call on,
+    whenever its searches have reached twice as many vertices as the limit
+    of the last try, a call also tries the target-side sweep of
+    :func:`target_traces`, limited to scan no more adjacency entries than
+    those searches reached vertices. A sweep that finishes stores every
+    reached vertex's projection in a one-entry memo, and the calls after
+    it return the stored set. A search scans an entry for each vertex it
+    reaches but its source, and the limits at least double, so all tries
+    cost at most about twice the searches, and asking every vertex costs
+    O(sum of |N_r[t]| over t in A) rather than n searches. A call with
+    another graph or key replaces the memo; only a key whose targets and
+    radius passed the checks is stored, so a warm key raises exactly what
+    a cold one would. Raises IndexError for a source or target outside g,
+    ValueError for a negative radius or a source in A.
     """
     global _memo
     # frozenset() of a frozenset is the same object, so callers that hold
@@ -131,92 +170,29 @@ def _avoiding_search(g: Graph, u: int, a, r: int) -> tuple[frozenset[int], dict[
         _check_source(g, u, targets)
         dist = bounded_bfs(g, u, r, targets)
         _memo = _Memo(g, key, len(dist))
-        return targets, dist, None
+        return targets.intersection(dist)
     _check_source(g, u, targets)
-    traces = memo.traces
-    if traces is not None:
-        return targets, None, traces.get(u, ())
+    found = memo.projections
+    if found is not None:
+        return found.get(u, _EMPTY)
     dist = bounded_bfs(g, u, r, targets)
     memo.calls += 1
     memo.reached += len(dist)
     if memo.calls >= len(targets) and memo.reached >= 2 * memo.limit:
         memo.limit = memo.reached
-        memo.traces = _limited_sweep(g, targets, r, memo.limit)
-    return targets, dist, None
-
-
-class _OverLimit(Exception):
-    pass
-
-
-class _Meter:
-    # the stop set of a limited sweep: bounded_bfs asks it about each vertex
-    # just before it would scan the vertex's row, so it charges the row then
-    __slots__ = ("targets", "adj", "left")
-
-    def __init__(self, targets: frozenset[int], adj, left: int):
-        self.targets, self.adj, self.left = targets, adj, left
-
-    def __contains__(self, v: int) -> bool:
-        if v in self.targets:
-            return True
-        self.left -= len(self.adj[v])
-        if self.left < 0:
-            raise _OverLimit
-        return False
-
-
-def _limited_sweep(g: Graph, targets: frozenset[int], r: int, limit: int) -> dict[int, tuple] | None:
-    # the avoiding (target, distance) traces of every vertex some target
-    # reaches, or None once the sweep would scan more than ``limit``
-    # adjacency entries; each search scans its own target's row unasked
-    adj = g.adj
-    if r > 0:
-        limit -= sum([len(adj[t]) for t in targets])
-    if limit < 0:
-        return None
-    found: defaultdict[int, list] = defaultdict(list)
-    try:
-        _sweep(g, targets, r, found, True, _Meter(targets, adj, limit))
-    except _OverLimit:
-        return None
-    return {v: tuple(trace) for v, trace in found.items()}
-
-
-def distance_profile(g: Graph, u: int, a, r: int) -> Profile:
-    targets = frozenset(a)
-    check_vertices(g, targets)
-    return Profile(_entries(bfs_within(g, u, r), targets))
-
-
-def projection(g: Graph, u: int, a, r: int) -> frozenset[int]:
-    """Vertices of A reachable from u by an A-avoiding path of length <= r.
-
-    One call searches from u, and so do the first |A| - 1 calls onto one
-    (A, r) and one graph. Later calls switch to one A-avoiding search from
-    each target, as :func:`target_traces` makes, once the searches from
-    their sources have cost about as much as that sweep; the calls after
-    it are lookups in a one-entry memo. Asking every vertex then costs
-    O(sum of |N_r[t]| over t in A) rather than n searches, and no call
-    pattern pays much more than three times its searches from the
-    sources. A call with another graph or key replaces the memo. Raises
-    IndexError for a source or target outside g, ValueError for a negative
-    radius or a source in A.
-    """
-    targets, dist, entries = _avoiding_search(g, u, a, r)
-    if entries is None:
-        return targets.intersection(dist)
-    return frozenset([t for t, _ in entries])
+        memo.projections = _limited_sweep(g, targets, r, memo.limit)
+    return targets.intersection(dist)
 
 
 def projection_profile(g: Graph, u: int, a, r: int) -> Profile:
-    """The sorted (target, A-avoiding distance) pairs of u's projection;
-    repeated calls share the target-side sweep and the memo of
-    :func:`projection`."""
-    targets, dist, entries = _avoiding_search(g, u, a, r)
-    if entries is None:
-        entries = _entries(dist, targets)
-    return Profile(entries)
+    """The sorted (target, A-avoiding distance) pairs of u's projection,
+    from one A-avoiding search from u; it neither reads nor fills the
+    memo of :func:`projection`."""
+    targets = frozenset(a)
+    check_vertices(g, targets)
+    check_radius(r)
+    _check_source(g, u, targets)
+    return Profile(_entries(bounded_bfs(g, u, r, targets), targets))
 
 
 def _sweep(g: Graph, targets, r: int, traces, distances: bool, stop) -> None:
@@ -301,6 +277,7 @@ def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
     are the A-avoiding walks of g. Returns the expansion and the target set
     B = A x {0..r}.
     """
+    check_radius(r)
     targets = set(a)
     check_vertices(g, targets)
     n = g.n
@@ -318,6 +295,7 @@ def layered_graph(g: Graph, a, r: int) -> tuple[Graph, frozenset[int]]:
 def decode_projection_via_layers(g: Graph, a, r: int, u: int) -> Profile:
     """Projection profile of u recovered from distance profiles in the
     layered expansion; exists as a cross-check of that encoding."""
+    check_radius(r)
     targets = frozenset(a)
     _check_source(g, u, targets)
     h, _ = layered_graph(g, targets, r)

@@ -36,7 +36,6 @@ from rdomkernel.profiles import (
     SetFamily,
     decode_projection_via_layers,
     nu_r,
-    projection,
     projection_profile,
     sauer_shelah_bound,
     vc_dimension,
@@ -152,7 +151,7 @@ def test_structural_postconditions_fuzz():
         assert frozenset(x) <= closure
         for u in range(g.n):
             if u not in closure:
-                assert len(projection(g, u, closure, r)) < t
+                assert len(projection_profile(g, u, closure, r).entries) < t
 
     rng = random.Random(1003)
     for _ in range(500):

@@ -28,7 +28,7 @@ from rdomkernel.kernel import (
     find_redundant_vertex,
     kernelize,
 )
-from rdomkernel.profiles import distance_profile, projection, projection_profile
+from rdomkernel.profiles import distance_profile, projection_profile
 from rdomkernel.sparsity import default_closure_threshold
 
 from .oracles import (
@@ -64,7 +64,7 @@ def check_trace_step(g, r, step, checked_closures):
     assert is_r_independent(sub, {idmap.to_sub[v] for v in step.exchange_class}, 2 * r)
     sprofs = {distance_profile(g, v, step.separator, r).entries for v in step.exchange_class}
     assert len(sprofs) == 1
-    buy = projection(g, step.removed, step.closure, 3 * r) | set(step.separator)
+    buy = {t for t, _ in projection_profile(g, step.removed, step.closure, 3 * r).entries} | set(step.separator)
     assert step.buy == buy
     assert len(step.exchange_class) >= len(buy) + 2
     # the closure postcondition depends on the closure alone, and the steps
@@ -72,7 +72,7 @@ def check_trace_step(g, r, step, checked_closures):
     if step.closure not in checked_closures:
         t = default_closure_threshold(g)
         outside = (u for u in range(g.n) if u not in step.closure)
-        assert all(len(projection(g, u, step.closure, 3 * r)) < t for u in outside)
+        assert all(len(projection_profile(g, u, step.closure, 3 * r).entries) < t for u in outside)
         checked_closures.add(step.closure)
 
 

@@ -208,6 +208,7 @@ class TestCounters:
         calls = [lambda counter=counter: counter(path(3), {0}, -1) for counter in COUNTERS.values()]
         calls.append(lambda: target_traces(path(3), set(), -1))
         calls += [lambda query=query: query(path(3), 0, {2}, -1) for query in (projection, projection_profile, distance_profile)]
+        calls += [lambda: layered_graph(path(3), {2}, -1), lambda: decode_projection_via_layers(path(3), {2}, -1, 0)]
         for call in calls:
             with pytest.raises(ValueError, match="radius must be non-negative, got -1"):
                 call()
@@ -237,12 +238,12 @@ def avoiding_reference(g, u, a, r):
 
 def warm(g, a, r):
     """Ask the vertices outside A for their projections, round after round,
-    until the memo holds the target-side traces of (g, A, r)."""
+    until the memo holds the target-side projections of (g, A, r)."""
     outside = [v for v in range(g.n) if v not in a]
     for _ in range(20):
         for v in outside:
             projection(g, v, a, r)
-        if profiles._memo.traces is not None:
+        if profiles._memo.projections is not None:
             return
     raise AssertionError("no sweep finished")
 
@@ -341,7 +342,7 @@ class TestProjectionMemo:
             tried.clear()
             for u in sources:
                 assert projection(g, u, a, r) == set(a)
-            assert asked == [2] * len(sources) and profiles._memo.traces is None
+            assert asked == [2] * len(sources) and profiles._memo.projections is None
             assert tried and not any(done for _, done in tried)
             assert sum(limit for limit, _ in tried) <= 2 * sum(asked)
         # on a grid, fewer than |A| calls try nothing, the sweep finishes,
@@ -357,10 +358,34 @@ class TestProjectionMemo:
         assert len(asked) < 400 and sum(limit for limit, _ in tried) <= 2 * sum(asked), (asked, tried)
         assert tried[-1][1] and not any(done for _, done in tried[:-1])
         asked.clear()
-        for query in (projection, projection_profile):
-            for u in range(100, 200):
-                query(g, u, a, 3)
+        for u in range(100, 200):
+            projection(g, u, a, 3)
         assert asked == []
+
+    def test_projection_profiles_search_once_per_call_and_leave_the_memo_alone(self, monkeypatch):
+        g = grid_graph(20, 20)
+        a = frozenset((3, 30, 55, 78, 99, 250, 399))
+        warm(g, a, 3)
+        memo = profiles._memo
+        held = (memo.key, memo.calls, memo.reached, memo.limit, memo.projections)
+        search, sources = profiles.bounded_bfs, []
+
+        def counting_search(g, source, r, stop=()):
+            sources.append(source)
+            return search(g, source, r, stop)
+
+        monkeypatch.setattr(profiles, "bounded_bfs", counting_search)
+        outside = [v for v in range(g.n) if v not in a]
+        # the memo's own key, then another one, each asked round after round
+        for b, r in ((a, 3), (a - {3}, 2)):
+            for _ in range(3):
+                for v in outside:
+                    want = avoiding_reference(g, v, b, r)[1]
+                    sources.clear()
+                    assert projection_profile(g, v, b, r).entries == want
+                    assert sources == [v]
+        assert profiles._memo is memo
+        assert (memo.key, memo.calls, memo.reached, memo.limit, memo.projections) == held
 
     def test_copies_and_pickles_are_other_graphs(self):
         fresh = grid_graph(6, 6)
@@ -420,7 +445,7 @@ class TestProjectionMemo:
                 for _ in range(300):
                     f, a, r = keys[0] if rng.random() < 0.6 else rng.choice(keys)
                     u = rng.choice([v for v in range(f.n) if v not in a])
-                    if projection_profile(f, u, a, r).entries != avoiding_reference(f, u, a, r)[1]:
+                    if projection(f, u, a, r) != avoiding_reference(f, u, a, r)[0]:
                         errors.append((u, r))
             except Exception as exc:  # recorded and asserted on below
                 errors.append(exc)

@@ -5,7 +5,7 @@ import pytest
 import rdomkernel.sparsity
 from rdomkernel.generators import grid_graph, random_bounded_degree_graph, star_graph
 from rdomkernel.graphs import Graph, bfs_within, induced_subgraph, is_r_independent
-from rdomkernel.profiles import projection, projection_profile
+from rdomkernel.profiles import projection_profile
 from rdomkernel.sparsity import (
     default_closure_threshold,
     quasi_wide_extract,
@@ -150,7 +150,7 @@ class TestRClosure:
         assert result.closure == frozenset(range(5))
         for u in range(g.n):
             if u not in result.closure:
-                assert len(projection(g, u, result.closure, 4)) < 2
+                assert len(projection_profile(g, u, result.closure, 4).entries) < 2
 
     def test_threshold_guard(self):
         with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ class TestRClosure:
             assert frozenset(x) <= result.closure
             for u in range(g.n):
                 if u not in result.closure:
-                    assert len(projection(g, u, result.closure, r)) < t
+                    assert len(projection_profile(g, u, result.closure, r).entries) < t
 
     def test_raising_threshold_never_enlarges(self):
         rng = random.Random(33)
