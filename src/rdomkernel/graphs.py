@@ -431,10 +431,11 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
     Vertices not reached are absent. No argument checks: this is the shared
     loop behind every single-source radius query, and the public callers
     validate their inputs with :func:`check_vertices` and
-    :func:`check_radius`. The
-    weak-coloring sweep, whose searches are many, large and barred from the
-    vertices already swept, uses :func:`_stamped_reach` instead, which
-    builds no dict per search.
+    :func:`check_radius`. Two many-source sweeps build no dict per search
+    and do not use it: the weak-coloring sweep, whose searches are barred
+    from the vertices already swept, uses :func:`_stamped_reach`, and the
+    target-side sweep of :func:`~rdomkernel.profiles.target_traces` records
+    each trace entry as it reaches a vertex, over one list of visit marks.
     """
     adj = g.adj
     dist = {source: 0}

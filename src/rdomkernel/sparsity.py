@@ -107,11 +107,16 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     The starting sizes come from one Y-avoiding BFS per member of X
     (:func:`target_traces`, with distances). A hub h can change only the
     projections of the vertices that reach h by a Y-avoiding path of
-    length at most r, so after each pick only the vertices of
-    ``bounded_bfs(g, h, r, Y)`` are recounted; a heap of (-size, id)
-    entries, stale ones skipped, yields the next pick. The starting
-    traces are the final closure's when no hub joins; otherwise the final
-    closure's traces take one more search.
+    length at most r, and it adds at most itself to each: so after each
+    pick the vertices of ``bounded_bfs(g, h, r, Y)`` get one added to
+    their stored size and are marked stale, and every stored size stays
+    an upper bound on the exact one. A heap of (-size, id) entries, the
+    outdated ones skipped, yields the next pick: a stale entry popped is
+    recounted with one search and pushed back, and only an exact entry
+    becomes a hub, so the picks are those of recounting every reached
+    vertex after each hub (Minoux's lazy greedy). The starting traces are
+    the final closure's when no hub joins; otherwise the final closure's
+    traces take one more search.
     """
     if t < 2:
         raise ValueError("closure threshold must be at least 2")
@@ -127,21 +132,26 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     y = set(y)
     heapq.heapify(heap)
     added = []
+    stale = [False] * g.n
     while heap:
-        neg_size, hub = heapq.heappop(heap)
-        if hub in y or sizes[hub] != -neg_size:
+        neg_size, u = heapq.heappop(heap)
+        if u in y or sizes[u] != -neg_size:
             continue
-        y.add(hub)
-        added.append(hub)
-        for u in bounded_bfs(g, hub, r, y):
-            if u in y:
-                continue
+        if stale[u]:
             # u's projection onto Y, as projection(g, u, Y, r) counts it
-            size = len(y.intersection(bounded_bfs(g, u, r, y)))
-            if size != sizes[u]:
-                sizes[u] = size
-                if size >= t:
-                    heapq.heappush(heap, (-size, u))
+            stale[u] = False
+            sizes[u] = size = len(y.intersection(bounded_bfs(g, u, r, y)))
+            if size >= t:
+                heapq.heappush(heap, (-size, u))
+            continue
+        y.add(u)
+        added.append(u)
+        for w in bounded_bfs(g, u, r, y):
+            if w not in y:
+                stale[w] = True
+                sizes[w] += 1
+                if sizes[w] >= t:
+                    heapq.heappush(heap, (-sizes[w], w))
     closure = frozenset(y)
     return ClosureResult(closure, tuple(added), target_traces(g, closure, r, distances=True, avoiding=True))
 

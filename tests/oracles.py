@@ -145,6 +145,40 @@ def brute_r_closure(g: Graph, x, r: int, t: int) -> tuple[frozenset[int], tuple[
         added.append(pick)
 
 
+def _avoiding_reach(adj, source: int, r: int, y) -> set[int]:
+    # vertices within r of source over paths whose interior avoids y
+    reached = {source}
+    level = [source]
+    for _ in range(r):
+        level = [w for u in level if u == source or u not in y for w in adj[u] if w not in reached]
+        reached.update(level)
+    return reached
+
+
+def recount_every_hub_r_closure(g: Graph, x, r: int, t: int) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The r-closure's greedy with an eager recount: after each hub joins
+    Y, every outside vertex that reaches the hub by a Y-avoiding path of
+    length at most r gets its projection size recounted, and the next hub
+    is the largest size (at least t), lowest id on ties, over a scan of
+    all sizes. Returns (closure, added)."""
+    adj = set_adjacency(g.n, g.edges())
+    y = set(x)
+    sizes = {u: len(y & _avoiding_reach(adj, u, r, y)) for u in range(g.n) if u not in y}
+    added = []
+    while sizes:
+        best = max(sizes.values())
+        if best < t:
+            break
+        hub = min(u for u, size in sizes.items() if size == best)
+        y.add(hub)
+        added.append(hub)
+        del sizes[hub]
+        for u in _avoiding_reach(adj, hub, r, y):
+            if u not in y:
+                sizes[u] = len(y & _avoiding_reach(adj, u, r, y))
+    return frozenset(y), tuple(added)
+
+
 def brute_quasi_wide_extract(g: Graph, a, r: int, m: int, s_max: int | None = None):
     """The separator loop of ``quasi_wide_extract`` on the distance matrix
     of g - S, recomputed every round: the scattered set is taken greedily

@@ -171,9 +171,16 @@ class TestCounters:
     def test_mu_hat_star_center_only(self):
         assert mu_hat_r(star_graph(5), {1, 2, 3, 4, 5}, 2) == 1
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
         with pytest.raises(SizeCapError):
             nu_r(subset_gadget_graph(4), {0, 1, 2, 3}, 1, cap=7)
+        # every count exceeds a negative cap: bad input, raised before any
+        # search (a search would call None here)
+        monkeypatch.setattr(profiles, "_sweep", None)
+        for counter in COUNTERS.values():
+            for cap in (-1, -2):
+                with pytest.raises(ValueError, match=f"cap must be non-negative, got {cap}"):
+                    counter(subset_gadget_graph(4), {0, 1, 2, 3}, 1, cap=cap)
 
     def test_plain_counts_never_exceed_profile_counts(self):
         rng = random.Random(8)
@@ -224,8 +231,9 @@ class TestCounters:
                         count = expected[name]
                         assert counter(g, a, r) == count, (name, g, a, r)
                         assert counter(g, a, r, cap=count) == count
-                        with pytest.raises(SizeCapError):
-                            counter(g, a, r, cap=count - 1)
+                        if count:  # a cap of -1 is bad input (test_cap_raises)
+                            with pytest.raises(SizeCapError):
+                                counter(g, a, r, cap=count - 1)
 
 
 def avoiding_reference(g, u, a, r):
@@ -505,10 +513,18 @@ class TestTargetTraces:
         rng = random.Random(23)
         graphs = list(tie_heavy_graphs(rng, 40, 14, 4))
         graphs += [relabelled(rng, random_sparse_graph(rng, rng.randint(1, 16))) for _ in range(20)]
+        # isolated vertices, alone and beside edges
+        graphs += [Graph(1), Graph(4), relabelled(rng, Graph(9, [(0, 1), (1, 2), (2, 3), (5, 6)]))]
+        for distances in (False, True):
+            for avoiding in (False, True):
+                assert target_traces(Graph(0), set(), 2, distances=distances, avoiding=avoiding) == []
         blocked = 0
         for g in graphs:
             sets = [set(), set(rng.sample(range(g.n), rng.randint(1, g.n))), set(range(g.n))]
             sets.append({v for v in range(g.n) if rng.random() < 0.6})
+            # adjacent targets: each is reached, and not expanded, by the
+            # other's avoiding search
+            sets += [set(edge) for edge in list(g.edges())[:2]]
             for a in sets:
                 for r in range(4):
                     for distances in (False, True):
@@ -597,14 +613,36 @@ class TestVcDimension:
                 with pytest.raises(ValueError, match=f"got {cap}"):
                     vc_dimension(fam, cap=cap)
         assert vc_dimension(SetFamily.from_sets(1, [set(), {0}]), cap=0) == 1
+        # nor is there a ground set of negative size, even for the empty set
+        for size in (-1, -2):
+            for sets in ([], [set()]):
+                with pytest.raises(ValueError, match=f"ground size must be non-negative, got {size}"):
+                    SetFamily.from_sets(size, sets)
 
     def test_matches_exhaustive_oracle(self):
+        # every cap, and the same family spread one-to-one over a ground set
+        # wider than a machine word; the spread elements are congruent mod
+        # 64, so a mask cut to one word would merge them
         rng = random.Random(10)
+        sizes, wide_members, truncated = set(), 0, 0
         for _ in range(120):
-            n = rng.randint(1, 6)
-            sets = [frozenset(v for v in range(n) if rng.random() < 0.5) for _ in range(rng.randint(0, 10))]
+            n = rng.randint(0, 6)
+            count = rng.randint(0, 10) if rng.random() < 0.5 else rng.randint(0, 3 << n)
+            sets = [frozenset(v for v in range(n) if rng.random() < 0.5) for _ in range(count)]
             fam = SetFamily.from_sets(n, sets)
-            assert vc_dimension(fam) == brute_vc_dimension(fam)
+            dim = brute_vc_dimension(fam)
+            offset = rng.randrange(64)
+            spread = [offset + 64 * v for v in rng.sample(range(n), n)]
+            wide = max(65, 64 * n) + rng.randrange(10)
+            spread_fam = SetFamily.from_sets(wide, [{spread[v] for v in s} for s in sets])
+            assert vc_dimension(fam) == vc_dimension(spread_fam) == dim
+            for cap in range(13):
+                assert vc_dimension(fam, cap) == vc_dimension(spread_fam, cap) == min(dim, cap + 1), (fam, cap)
+                truncated += dim > cap
+            sizes.add(n)
+            wide_members += any(max(s, default=0) >= 64 for s in spread_fam.members)
+        assert {0, 1} <= sizes
+        assert wide_members >= 40 and truncated >= 100, (wide_members, truncated)
 
 
 def _powerset(items):

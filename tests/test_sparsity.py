@@ -20,6 +20,7 @@ from .oracles import (
     floyd_warshall,
     linked_stars,
     random_sparse_graph,
+    recount_every_hub_r_closure,
     tie_heavy_graphs,
 )
 
@@ -199,6 +200,19 @@ class TestRClosure:
             assert (result.closure, result.added) == brute_r_closure(g, x, r, t)
             gained += bool(result.added)
         assert gained >= len(cases) - 2
+
+    def test_lazy_recounts_match_the_recount_every_hub_form(self):
+        # stored sizes that are only upper bounds must not change a pick,
+        # also where many vertices tie on size
+        rng = random.Random(37)
+        gained = 0
+        for g in tie_heavy_graphs(rng, 60, 40, 9):
+            x = {v for v in range(g.n) if rng.random() < 0.2}
+            r, t = rng.randint(1, 4), rng.randint(2, 4)
+            result = r_closure(g, x, r, t)
+            assert (result.closure, result.added) == recount_every_hub_r_closure(g, x, r, t), (g, x, r, t)
+            gained += len(result.added) >= 2
+        assert gained >= 20, gained
 
     def test_traces_are_the_final_closures_profiles(self, monkeypatch):
         # one search when no hub joins; one more for the final closure when
