@@ -32,6 +32,8 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """Center 0 with the given number of pendant leaves."""
+    if leaves < 0:
+        raise ValueError("leaf count must be non-negative")
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

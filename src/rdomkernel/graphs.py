@@ -101,8 +101,10 @@ class Graph:
     ``m`` and ``text`` are set then, but it holds its edges as two columns
     of shared id objects and builds ``adj`` when something first reads it:
     a caller that only dumps the graph, such as an identity kernel, never
-    builds a row. Every other graph builds ``adj`` at construction. Once
-    built, ``adj`` is an ordinary attribute of an ordinary ``Graph``.
+    builds a row. Every other graph builds ``adj`` at construction. Either
+    way the object is a ``Graph`` for its whole life; only the ``adj`` slot
+    fills. A copy or a pickle reads every slot, ``adj`` included, so it is
+    always a graph with its rows built.
 
     Immutable, apart from that one deferred build, which is safe to race:
     concurrent first readers get equal rows. All queries are read-only and
@@ -111,8 +113,8 @@ class Graph:
     belongs to without keeping it alive.
     """
 
-    # _columns holds a deferred graph's (us, vs, top) until its rows exist;
-    # copies and pickles leave __weakref__ out
+    # _columns holds (us, vs, top) until the rows of a graph read from its
+    # canonical text exist; copies and pickles leave __weakref__ out
     __slots__ = ("n", "m", "adj", "text", "_columns", "__weakref__")
 
     def __init__(self, n: int, edges=()):
@@ -171,7 +173,22 @@ class Graph:
             # strictly increasing pairs hold no repeat
             self.m = len(us)
             self._columns = (us, vs, top)
-            self.__class__ = _DeferredGraph
+
+    def __getattr__(self, name):
+        # runs only when normal lookup fails: for adj, only while the slot is
+        # empty. The first reader builds the rows from the columns and
+        # publishes them before it drops the columns, so a reader that races
+        # it either builds equal rows itself or finds the columns gone, and
+        # then the rows already published.
+        if name != "adj":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        columns = self._columns
+        if columns is None:
+            return self.adj
+        us, vs, top = columns
+        self.adj = adj = _adjacency(self.n, top, us, vs, True)
+        self._columns = None
+        return adj
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -196,38 +213,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class _DeferredGraph(Graph):
-    """A graph read from canonical text whose rows are not built yet.
-
-    ``__getattr__`` runs only when normal lookup fails, that is, only while
-    the ``adj`` slot is empty, so a plain ``Graph`` pays nothing for it. The
-    first read of ``adj`` builds the rows from the columns, publishes them
-    in the slot, then drops the columns and makes the object a plain
-    ``Graph``. A reader that races it either builds equal rows itself or
-    finds the columns gone, and then the rows already published."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "adj":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        columns = self._columns
-        if columns is None:
-            # another reader built the rows, and published them first
-            return self.adj
-        us, vs, top = columns
-        self.adj = adj = _adjacency(self.n, top, us, vs, True)
-        self._columns = None
-        self.__class__ = Graph
-        return adj
-
-    def __reduce_ex__(self, protocol):
-        # a copy or a pickle names the class before it reads the slots, and
-        # reading adj makes this a Graph: build first, so the two agree
-        self.__getattr__("adj")
-        return object.__reduce_ex__(self, protocol)
 
 
 def _adjacency(n: int, top: int, us: list[int], vs: list[int], presorted: bool) -> tuple[tuple[int, ...], ...]:
@@ -427,15 +412,10 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
     member of a target set, with the whole set as ``stop``, follows exactly
     the paths that avoid every other target. The search asks ``stop`` once
     about each vertex but ``source`` that it would expand, just before it
-    would scan that vertex's row, so a container can meter the search.
-    Vertices not reached are absent. No argument checks: this is the shared
-    loop behind every single-source radius query, and the public callers
-    validate their inputs with :func:`check_vertices` and
-    :func:`check_radius`. Two many-source sweeps build no dict per search
-    and do not use it: the weak-coloring sweep, whose searches are barred
-    from the vertices already swept, uses :func:`_stamped_reach`, and the
-    target-side sweep of :func:`~rdomkernel.profiles.target_traces` records
-    each trace entry as it reaches a vertex, over one list of visit marks.
+    would scan that vertex's row. Vertices not reached are absent. No
+    argument checks: this is the shared loop behind every single-source
+    radius query, and the public callers validate their inputs with
+    :func:`check_vertices` and :func:`check_radius`.
     """
     adj = g.adj
     dist = {source: 0}
@@ -457,38 +437,6 @@ def bounded_bfs(g: Graph, source: int, r: int, stop=()) -> dict[int, int]:
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def _stamped_reach(g: Graph, source: int, r: int, mark: list[int], stamp: int) -> list[int]:
-    """The vertices within radius r of ``source`` over unbarred vertices,
-    ``source`` first, then level by level in the order reached.
-
-    The loop of a many-source sweep. In place of a distance dict per
-    search it marks what it reaches in ``mark``, a list of n ints the
-    caller holds across the sweep: each vertex reached gets
-    ``mark[v] = stamp``, and a vertex whose mark is already at or above
-    ``stamp`` is never entered, neither reached nor expanded. Stamps must
-    therefore strictly increase across the searches that share one list,
-    so that every earlier search's marks lie below the current stamp; a
-    mark the caller sets above every stamp it will use bars that vertex
-    from all later searches. ``source`` itself is always searched from. No
-    argument checks.
-    """
-    adj = g.adj
-    mark[source] = stamp
-    level = reached = [source]
-    for _ in range(r):
-        nxt = []
-        for u in level:
-            for w in adj[u]:
-                if mark[w] < stamp:
-                    mark[w] = stamp
-                    nxt.append(w)
-        if not nxt:
-            break
-        reached += nxt
-        level = nxt
-    return reached
 
 
 def bfs_within(g: Graph, source: int, r: int) -> dict[int, int]:
@@ -606,8 +554,9 @@ def induced_subgraph(g: Graph, s) -> tuple[Graph, SubgraphMap]:
     to_sub = dict(zip(to_orig, ids))
     us: list[int] = []
     vs: list[int] = []
+    adj = g.adj
     for new_u, old_u in zip(ids, to_orig):
-        for old_w in g.adj[old_u]:
+        for old_w in adj[old_u]:
             if old_w > old_u and old_w in to_sub:
                 us.append(new_u)
                 vs.append(to_sub[old_w])

@@ -14,13 +14,12 @@ WReach_r[x]. Each vertex thus costs one bounded search over the vertices
 not yet swept. ``wcol_of_order`` keeps one counter per vertex, O(n)
 memory; only ``wreach_all`` holds the sets, O(sum of |WReach_r|).
 
-The sweep's searches share one list of visit stamps
-(:func:`~rdomkernel.graphs._stamped_reach`), stamped with the rank of
-their source, and a swept vertex is marked n, above every rank, so no
-later search enters it: a search builds no distance dict and reaches only
-what it counts. The single queries (``wreach``) and ``wcol_exact``, whose
-placed set grows and shrinks as it backtracks, search with
-:func:`~rdomkernel.graphs.bounded_bfs`.
+The sweep's searches share one list of n visit marks, stamped with the
+rank of their source, and a swept vertex is marked n, above every rank, so
+no later search enters it: a search builds no distance dict and reaches
+only what it counts. ``wcol_exact``, whose placed set grows and shrinks as
+it backtracks, searches with :func:`~rdomkernel.graphs.bounded_bfs` and
+drops the placed vertices it reaches.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import Graph, SizeCapError, _stamped_reach, bounded_bfs, check_radius, check_vertices
+from .graphs import Graph, SizeCapError, bounded_bfs, check_radius, check_vertices
 
 
 @dataclass(frozen=True)
@@ -69,14 +68,6 @@ def _check_order(g: Graph, order: Ordering):
         raise ValueError(f"order has {len(order)} vertices, graph has {g.n}")
 
 
-def _reached_above(g: Graph, u: int, r: int, swept) -> list[int]:
-    """The vertices outside ``swept`` within distance r of u over paths whose
-    interior avoids ``swept``: with ``swept`` the vertices ranked below u,
-    exactly the x that have u in WReach_r[x]. For ``wcol_exact``, whose
-    ``swept`` is not a prefix of one fixed order."""
-    return [x for x in bounded_bfs(g, u, r, swept) if x not in swept]
-
-
 def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
     """Exact weak-r-reachability set of v under the given order.
 
@@ -110,20 +101,36 @@ def wreach(g: Graph, order: Ordering, v: int, r: int) -> set[int]:
 
 def _sweep(g: Graph, order: Ordering, r: int):
     """Yield (u, the x with u in WReach_r[x]) for every u in rank order:
-    one bounded search per vertex over the vertices not yet swept.
+    one bounded search per vertex over the vertices not yet swept, listing
+    u first, then level by level in the order reached.
 
-    The searches share one stamp list. The search from u stamps what it
-    reaches with u's rank, which grows along the sweep, so no earlier
-    search's marks bar it; once searched, u is marked n, above every rank,
-    so no later search enters it. A swept vertex is thus neither reached
-    nor expanded, which is what the stopped search followed by a filter of
-    the swept vertices gave, without a dict or a filter per search."""
+    The searches share one list of n marks in place of a distance dict
+    each. The search from u stamps what it reaches with u's rank, which
+    grows along the sweep, so no earlier search's marks bar it; once
+    searched, u is marked n, above every rank, so no later search enters
+    it. A swept vertex is thus neither reached nor expanded, which is what
+    a search stopped at the swept vertices, followed by a filter of them,
+    gives."""
     check_radius(r)
     _check_order(g, order)
     n = g.n
+    adj = g.adj
     mark = [-1] * n
     for rank, u in enumerate(order.sequence()):
-        yield u, _stamped_reach(g, u, r, mark, rank)
+        mark[u] = rank
+        level = reached = [u]
+        for _ in range(r):
+            nxt = []
+            for v in level:
+                for w in adj[v]:
+                    if mark[w] < rank:
+                        mark[w] = rank
+                        nxt.append(w)
+            if not nxt:
+                break
+            reached += nxt
+            level = nxt
+        yield u, reached
         mark[u] = n
 
 
@@ -165,7 +172,8 @@ def degeneracy_order(g: Graph) -> Ordering:
     so the heap compares ints rather than tuples.
     """
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
+    adj = g.adj
+    deg = list(map(len, adj))
     heap = [d * n + v for v, d in enumerate(deg)]
     heapq.heapify(heap)
     removed = [False] * n
@@ -176,7 +184,7 @@ def degeneracy_order(g: Graph) -> Ordering:
             continue
         removed[v] = True
         removal.append(v)
-        for w in g.adj[v]:
+        for w in adj[v]:
             if not removed[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, deg[w] * n + w)
@@ -216,7 +224,8 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
         for u in range(n):
             if u in placed:
                 continue
-            bumped = _reached_above(g, u, r, placed)
+            # the unplaced x with u in WReach_r[x] once u is placed next
+            bumped = [x for x in bounded_bfs(g, u, r, placed) if x not in placed]
             new_max = cur_max
             for x in bumped:
                 counts[x] += 1

@@ -256,8 +256,8 @@ def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool =
     random tree of 10**5 vertices took 1.03-1.06 s instead of 1.22-1.41 s
     with a distance dict per search, and the 24 counts of the benchmark's
     ``measure`` workload 40 ms instead of 53-55 ms. The weak-coloring
-    sweep keeps its own loop (:func:`~rdomkernel.graphs._stamped_reach`),
-    whose searches are barred from the vertices already swept.
+    sweep keeps its own loop (:func:`~rdomkernel.orderings._sweep`), whose
+    searches are barred from the vertices already swept.
     """
     check_radius(r)
     targets = frozenset(a)

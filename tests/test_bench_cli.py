@@ -453,6 +453,7 @@ class TestCli:
              "vertex 25 out of range for n=25"),
             (["closure", "--graph", str(grid), "--r", "1", "--set", str(missing)], f"cannot read {missing}: "),
             (["bench", "--plan", str(missing)], f"cannot read {missing}: "),
+            (["gen", "star", "--leaves", "-1"], "leaf count must be non-negative"),
             (["qw", "--graph", str(grid), "--r", "1", "--set", "random:5", "--m", "2", "--smax", "-1"],
              "separator budget must be non-negative, got -1"),
         ):

@@ -102,6 +102,14 @@ class TestGenerateDispatch:
         with pytest.raises(ValueError):
             generate(GenSpec("cycle", {"n": 2}))
 
+    def test_negative_parameters_are_rejected(self):
+        # each parameter of every family at -1 in turn, the others at 3
+        for name, family in FAMILY_TABLE.items():
+            for bad in family.params:
+                params = {p: -1 if p == bad else 3 for p in family.params}
+                with pytest.raises(ValueError):
+                    generate(GenSpec(name, params))
+
     def test_table_sizes_match_built_graphs(self):
         # the vertex count is exact; the edge count bounds every edge-like
         # list the builder makes, which for the stub pairing is 2 per edge

@@ -15,10 +15,8 @@ from rdomkernel.graphs import (
     Graph,
     ParseError,
     SizeCapError,
-    _DeferredGraph,
     _load_canonical,
     _load_lines,
-    _stamped_reach,
     ball,
     bfs_within,
     bounded_bfs,
@@ -359,10 +357,13 @@ class TestDeferredRows:
         eager = Graph(n, edges)
         deferred = text == dump_edge_list(eager)
         g = load_edge_list(text)
-        assert (type(g) is _DeferredGraph) == deferred
+        # a graph that keeps its text holds the columns of its rows until the
+        # first read; every graph is a Graph before and after that read
+        assert type(g) is Graph
+        assert (getattr(g, "_columns", None) is not None) == deferred
         assert (g.n, g.m, g.text) == (n, eager.m, text if deferred else None)
         assert g.adj == eager.adj
-        assert type(g) is Graph
+        assert type(g) is Graph and getattr(g, "_columns", None) is None
         # each query and comparison is the first reader of a fresh graph
         for name, query in self.QUERIES.items():
             assert query(load_edge_list(text)) == query(eager), name
@@ -379,10 +380,22 @@ class TestDeferredRows:
     def test_one_object_per_id_once_built(self):
         text = dump_edge_list(grid_graph(40, 40))
         g = load_edge_list(text)
-        assert type(g) is _DeferredGraph
+        assert type(g) is Graph and g._columns is not None
         TestSharedIds.assert_one_object_per_id(g)
         assert type(g) is Graph and g._columns is None
         assert dump_edge_list(g) is text
+
+    def test_only_adj_builds_the_rows(self):
+        g = load_edge_list(dump_edge_list(grid_graph(5, 5)))
+        assert not hasattr(g, "x")
+        assert not hasattr(g, "__deepcopy__")
+        assert g._columns is not None
+        assert g.degree(12) == 4 and g._columns is None
+
+    def test_a_failed_lookup_names_the_class(self):
+        for g in (grid_graph(3, 3), load_edge_list(dump_edge_list(grid_graph(3, 3)))):
+            with pytest.raises(AttributeError, match="^'Graph' object has no attribute 'x'$"):
+                g.x
 
     def test_copies_and_pickles_are_built_graphs(self):
         text = dump_edge_list(grid_graph(5, 5))
@@ -510,43 +523,6 @@ class TestBoundedBfs:
             stop = {v for v in range(g.n) if rng.random() < 0.3}
             r = rng.randint(0, 4)
             assert bounded_bfs(g, u, r, stop | {u}) == bounded_bfs(g, u, r, stop - {u})
-
-
-class TestStampedReach:
-    def test_sweep_over_one_list_matches_bounded_bfs(self):
-        # every source in turn, stamps increasing; in a sweep each searched
-        # source is then barred above every stamp, and a search reaches
-        # what bounded_bfs, stopped at the barred vertices, reaches outside
-        # them, in the same order
-        rng = random.Random(24)
-        sweeps = 0
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(1, 9), rng.random())
-            r = rng.randint(0, 4)
-            sweep = rng.random() < 0.5
-            mark = [-1] * g.n
-            barred: set[int] = set()
-            for stamp, u in enumerate(rng.sample(range(g.n), g.n)):
-                want = [v for v in bounded_bfs(g, u, r, barred) if v not in barred]
-                assert _stamped_reach(g, u, r, mark, stamp) == want
-                if sweep:
-                    mark[u] = g.n
-                    barred.add(u)
-            sweeps += sweep and g.m > 0
-        assert sweeps >= 100, sweeps
-
-    def test_marks_bar_and_stamps_increase(self):
-        g = grid_graph(3, 3)
-        assert _stamped_reach(g, 4, 2, [-1] * 9, 0) == [4, 1, 3, 5, 7, 0, 2, 6, 8]
-        assert _stamped_reach(g, 4, 0, [-1] * 9, 0) == [4]
-        # a mark at or above the stamp bars its vertex: 1 and 3 at stamp 0,
-        # only 1 at stamp 1
-        mark = [-1, 5, -1, 0, -1, -1, -1, -1, -1]
-        assert _stamped_reach(g, 0, 4, mark, 0) == [0]
-        assert _stamped_reach(g, 0, 4, mark, 1) == [0, 3, 4, 6, 5, 7, 2, 8]
-        assert mark == [1, 5, 1, 1, 1, 1, 1, 1, 1]
-        # the next search, one stamp up, sees the last one's marks as stale
-        assert _stamped_reach(g, 8, 1, mark, 2) == [8, 5, 7]
 
 
 class TestBall:

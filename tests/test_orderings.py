@@ -120,16 +120,22 @@ class TestWreach:
             assert wreach(g, order, v, r) == brute_wreach(g, order, v, r)
 
     def test_agrees_with_batch_computation(self):
+        # the sweep behind wreach_all, whose searches are barred from the
+        # vertices already swept, against the path enumeration and the
+        # single query, for every vertex and radius
         rng = random.Random(23)
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(1, 10), rng.random())
+        graphs = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(80)]
+        graphs += [Graph(0), Graph(1), Graph(5)]
+        graphs += tie_heavy_graphs(rng, 40, max_n=10, max_side=4)
+        for g in graphs:
             seq = list(range(g.n))
             rng.shuffle(seq)
             order = Ordering.from_sequence(seq)
-            r = rng.randint(0, 3)
-            batch = wreach_all(g, order, r)
-            for v in range(g.n):
-                assert wreach(g, order, v, r) == batch[v]
+            for r in range(5):
+                batch = wreach_all(g, order, r)
+                assert len(batch) == g.n
+                for v in range(g.n):
+                    assert batch[v] == brute_wreach(g, order, v, r) == wreach(g, order, v, r)
 
 
 class TestWcolOfOrder:
