@@ -14,8 +14,8 @@ from __future__ import annotations
 import time
 
 from .domset import DominationInstance
-from .generators import FAMILY_TABLE, GenSpec, generate
-from .graphs import ParseError, _decimal
+from .generators import GenSpec, _checked_args, generate
+from .graphs import ParseError, SizeCapError, _decimal
 from .kernel import kernelize
 
 CSV_HEADER = "family,n,m,r,k,z_final,kernel_n,reject,witness,wall_ms,seed"
@@ -33,10 +33,11 @@ def _generator_params(entry: dict) -> dict:
 def parse_plan(text: str) -> list[dict]:
     """Parse the key=value block format; '#' starts a comment. A key that
     is neither a knob nor a parameter of the block's family (with or
-    without ``gen.``), a parameter of the family that the block does not
-    give, or a knob out of range (r < 1, k < 0, target < 0, verify not 0
-    or 1) raises :class:`ParseError` at the block's line, before any run
-    starts."""
+    without ``gen.``), an unknown family, a parameter of the family that
+    the block does not give, or a knob out of range (r < 1, k < 0,
+    target < 0, verify not 0 or 1) raises :class:`ParseError` at the
+    block's line, and a graph over the generators' size caps raises
+    :class:`SizeCapError` naming the line, before any run starts."""
     runs: list[dict] = []
     block: dict = {}
     block_line = 0
@@ -57,16 +58,16 @@ def parse_plan(text: str) -> list[dict]:
                 raise ParseError(f"{rule}, got {block[key]}", block_line)
         if block.get("verify", 0) not in (0, 1):
             raise ParseError(f"verify must be 0 or 1, got {block['verify']}", block_line)
-        family = FAMILY_TABLE.get(block["family"])
-        if family is None:
-            raise ParseError(f"unknown family {block['family']!r}", block_line)
+        # generate's own checks, made before any run starts
+        try:
+            family, _ = _checked_args(GenSpec(block["family"], _generator_params(block)))
+        except SizeCapError as exc:
+            raise SizeCapError(f"line {block_line}: {exc}") from None
+        except ValueError as exc:
+            raise ParseError(str(exc), block_line) from None
         for key in block:
             if key not in _KNOB_KEYS and key.removeprefix("gen.") not in family.params:
                 raise ParseError(f"unknown key {key!r} for family {block['family']!r}", block_line)
-        params = _generator_params(block)
-        for name in family.params:
-            if name not in params:
-                raise ParseError(f"family {block['family']!r} needs parameter {name!r}", block_line)
         runs.append(dict(block))
         block.clear()
 

@@ -148,6 +148,9 @@ def exact_min_dominator(inst: DominationInstance, cap: int = 64) -> DominatorRes
     upper bound, and a seen-coverage memo. Exponential worst case, guarded
     by ``cap``.
     """
+    # every instance exceeds a negative cap, so it is bad input, not a cap hit
+    if cap < 0:
+        raise ValueError(f"exact solver cap must be non-negative, got {cap}")
     if inst.g.n > cap:
         raise SizeCapError(f"exact solver limited to n <= {cap}, got n={inst.g.n}")
     witness = greedy_scattered_lower_bound(inst)
@@ -203,6 +206,8 @@ def enumerate_min_dominators(inst: DominationInstance, cap: int = 20) -> list[fr
     """All minimum-size (z, r)-dominators, by exhausting subsets of the
     optimal size. Deliberately the dumbest correct enumeration; guarded by
     ``cap`` because of the binomial blow-up."""
+    if cap < 0:
+        raise ValueError(f"enumeration cap must be non-negative, got {cap}")
     if inst.g.n > cap:
         raise SizeCapError(f"enumeration limited to n <= {cap}, got n={inst.g.n}")
     opt = len(exact_min_dominator(inst, cap=cap).dominator)

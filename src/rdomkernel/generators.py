@@ -174,11 +174,10 @@ FAMILIES = tuple(FAMILY_TABLE)
 PARAMETERS = tuple(dict.fromkeys(name for family in FAMILY_TABLE.values() for name in family.params))
 
 
-def generate(spec: GenSpec) -> Graph:
-    """Build the graph a spec describes; same spec, identical graph. A spec
-    for more than :data:`~rdomkernel.graphs.MAX_VERTICES` vertices or more
-    than :data:`~rdomkernel.graphs.MAX_EDGES` edges raises
-    :class:`SizeCapError` from its parameters, before anything is built."""
+def _checked_args(spec: GenSpec) -> tuple[Family, list[int]]:
+    # the family and builder arguments of a spec, after every check that
+    # needs no building: a known family, each of its parameters given, and
+    # the vertex and edge caps, computed from the parameters alone
     family = FAMILY_TABLE.get(spec.family)
     if family is None:
         raise ValueError(f"unknown family {spec.family!r}; known: {', '.join(FAMILIES)}")
@@ -192,6 +191,15 @@ def generate(spec: GenSpec) -> Graph:
         raise SizeCapError(f"{spec.family} with {vertices} vertices exceeds the cap of {MAX_VERTICES}")
     if edges > MAX_EDGES:
         raise SizeCapError(f"{spec.family} with {edges} edges exceeds the cap of {MAX_EDGES}")
+    return family, args
+
+
+def generate(spec: GenSpec) -> Graph:
+    """Build the graph a spec describes; same spec, identical graph. A spec
+    for more than :data:`~rdomkernel.graphs.MAX_VERTICES` vertices or more
+    than :data:`~rdomkernel.graphs.MAX_EDGES` edges raises
+    :class:`SizeCapError` from its parameters, before anything is built."""
+    family, args = _checked_args(spec)
     if family.seeded:
         args.append(spec.seed)
     return family.build(*args)

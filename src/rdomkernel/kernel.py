@@ -18,11 +18,12 @@ dominator alone, so each one that passes the exchange test loses every
 member of its exchange class beyond |buy| + 1. The analysis alone applies
 the exchange inequality: it returns one step per removal, certified by
 its own |buy| + 2 members, so the trace grows linearly in the removals.
-Phase one applies the steps in order before analysing again, and checks
-the rejection route once per analysis while the core is larger than k,
-the only time its witness can exceed k. An analysis reads (G, Z, r) alone
-(:func:`find_redundant_vertex` analyses ``inst.z``); phase one keeps the
-core, the steps and, on rejection, ``state.witness``.
+Phase one applies the steps in order before analysing again. Every
+analysis first computes the scattered lower bound, which is also the
+dominator's witness, but the bound can reject only while the core is
+larger than k: it is a subset of the core. An analysis reads (G, Z, r)
+alone (:func:`find_redundant_vertex` analyses ``inst.z``); phase one keeps
+the core, the steps and, on rejection, ``state.witness``.
 
 Every search runs from the smaller side of its question. An analysis
 costs one radius-r search per dominatee and one per pick (the counter
@@ -85,9 +86,9 @@ class RemovalStep:
 @dataclass
 class CoreState:
     """What phase one produces: the core, one step per removal, and, when
-    the budget k cannot suffice, the scattered witness that proves it. A
-    core that no search could shrink is the instance's frozenset z itself;
-    any other is a set of its own."""
+    the budget k cannot suffice, the scattered witness that proves it. The
+    core is the instance's frozenset z itself until the first removal, and
+    a set of its own from then on."""
 
     z: set[int] | frozenset[int]
     trace: list[RemovalStep] = field(default_factory=list)
@@ -215,26 +216,27 @@ def find_core(
     """Shrink the dominatee set from ``inst.z`` down toward ``target``
     while it provably stays a domination core of ``inst.z``.
 
-    Each analysis first checks the rejection route: a scattered witness
-    larger than the budget k proves no k-vertex dominator exists and
-    short-circuits (state.witness is set). The witness is a subset of the
-    core, so the route runs only while the core is larger than k: a core of
-    at most ``min(target, k)`` vertices is returned at once, with no search,
-    as ``inst.z`` itself rather than a copy (the default target is at least
-    k, so every default-target call with k >= |Z| ends there). Otherwise one
-    exchange analysis runs (:func:`find_redundant_vertex`, on the instance
-    whose z is the core that the lower bound read), and its steps, one per
-    removal, are applied in order while the core is above the target: each
-    removes ``step.removed`` and is appended to the trace as it is. This is
-    sound because X still dominates the smaller core, the closure and the
-    classes do not depend on the core, and each step's exchange class is
-    still in the core when its vertex goes. The rejection route is
-    checked once per analysis: a scattered witness of a smaller core also
-    certifies the whole instance. The loop stops when an analysis finds
-    nothing or the target size is reached. With ``verify`` every removal is
-    re-checked against the enumeration oracle (instances up to
-    :data:`VERIFY_CAP` vertices only); state.verify records whether the
-    oracle ran or was skipped. A negative target is a ValueError.
+    Phase one runs while the core is larger than ``min(target, k)`` and
+    stops in one of four ways: the core is that small (at once, with no
+    search, when ``inst.z`` is; the default target is at least k, so every
+    default-target call with k >= |Z| ends there), the scattered witness
+    proves the budget k too small (state.witness is set), the core has
+    reached the target, or an analysis certifies nothing. Each analysis
+    first computes the scattered lower bound of the core; the bound is a
+    subset of the core, so it rejects only while the core is larger than
+    k, and a witness of a smaller core also certifies the whole instance.
+    Then one exchange analysis runs (:func:`find_redundant_vertex`, on the
+    instance whose z is the core that the bound read), and its steps, one
+    per removal, are applied in order while the core is above the target:
+    each removes ``step.removed`` and is appended to the trace as it is.
+    This is sound because X still dominates the smaller core, the closure
+    and the classes do not depend on the core, and each step's exchange
+    class is still in the core when its vertex goes. The core is
+    ``inst.z`` itself, not a copy, until the first removal, and a set of
+    its own from then on. With ``verify`` every removal is re-checked
+    against the enumeration oracle (instances up to :data:`VERIFY_CAP`
+    vertices only); state.verify records whether the oracle ran or was
+    skipped. A negative target is a ValueError.
     """
     g, k = inst.g, inst.k
     if target is None:
@@ -244,21 +246,20 @@ def find_core(
     state = CoreState(inst.z)
     if verify:
         state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
-    if len(inst.z) <= min(target, k):
-        # nothing to search or remove: the core is inst.z itself, not a copy
-        return state
-    z = state.z = set(inst.z)
-    while True:
+    z = inst.z
+    while len(z) > min(target, k):
         core = replace(inst, z=frozenset(z))
         witness = greedy_scattered_lower_bound(core)
         if len(witness) > k:
             state.witness = witness
-            return state
+            break
         if len(z) <= target:
-            return state
+            break
         steps = find_redundant_vertex(core, witness=witness)
         if steps is None:
-            return state
+            break
+        if z is inst.z:
+            z = state.z = set(z)
         for step in steps:
             if len(z) <= target:
                 break
@@ -266,8 +267,7 @@ def find_core(
             state.trace.append(step)
             if state.verify == "oracle":
                 _verify_core_after_removal(inst, frozenset(z))
-        if len(z) <= min(target, k):
-            return state
+    return state
 
 
 def build_kernel_from_core(g: Graph, z, r: int) -> KernelResult:
@@ -327,25 +327,17 @@ def kernelize(
     ``stats["verify"]``, whether verification was off, ran the oracle, or
     was skipped because the instance exceeds :data:`VERIFY_CAP`."""
     state = find_core(inst, target=target, verify=verify)
-    if state.witness is not None:
-        stats = {
-            "n": inst.g.n,
-            "m": inst.g.m,
-            "core": len(state.z),
-            "removed": len(state.trace),
-            "witness": len(state.witness),
-            "verify": state.verify,
-        }
-        return KernelResult(
+    if state.witness is None:
+        result = build_kernel_from_core(inst.g, state.z, inst.r)
+    else:
+        result = KernelResult(
             verdict=f"rejected({inst.k})",
             graph=None,
             dominatees=None,
             idmap=None,
             witness=state.witness,
-            stats=stats,
-            trace=tuple(state.trace),
+            stats={"n": inst.g.n, "m": inst.g.m, "core": len(state.z), "witness": len(state.witness)},
         )
-    result = build_kernel_from_core(inst.g, state.z, inst.r)
     return replace(
         result,
         stats={**result.stats, "removed": len(state.trace), "verify": state.verify},

@@ -202,6 +202,9 @@ def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:
     witness is the lexicographically first optimal order sequence.
     """
     check_radius(r)
+    # every graph exceeds a negative cap, so it is bad input, not a cap hit
+    if cap < 0:
+        raise ValueError(f"wcol_exact cap must be non-negative, got {cap}")
     if g.n > cap:
         raise SizeCapError(f"wcol_exact limited to n <= {cap}, got n={g.n}")
     n = g.n

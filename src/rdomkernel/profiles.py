@@ -251,11 +251,7 @@ def target_traces(g: Graph, a, r: int, distances: bool = False, avoiding: bool =
     appends its entry to a vertex's trace when it first reaches it: no
     dict per search and no second walk over what it reached. The kernel
     calls this avoiding, at radius r and 3r, with A a large share of V,
-    so most searches reach a handful of vertices. On a 2-core host with
-    CPython 3.11, the 5 calls of a target-0 ``kernelize --r 1`` of a
-    random tree of 10**5 vertices took 1.03-1.06 s instead of 1.22-1.41 s
-    with a distance dict per search, and the 24 counts of the benchmark's
-    ``measure`` workload 40 ms instead of 53-55 ms. The weak-coloring
+    so most searches reach a handful of vertices. The weak-coloring
     sweep keeps its own loop (:func:`~rdomkernel.orderings._sweep`), whose
     searches are barred from the vertices already swept.
     """

@@ -330,6 +330,17 @@ class TestCli:
         assert out.out == ""
         assert "line 8: family 'path' needs parameter 'n'" in out.err
 
+    def test_over_cap_block_exits_3_before_any_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("rdomkernel.bench.run_one", calls.append)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("family=path\nn=30\nr=1\nk=2\n\nfamily=grid\nw=100000\nh=100000\nr=1\nk=2\n")
+        assert main(["bench", "--plan", str(plan)]) == 3
+        assert len(calls) == 0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("cap exceeded: line 6: grid with 10000000000 vertices")
+
     def test_knob_out_of_range_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr("rdomkernel.bench.run_one", ran.append)

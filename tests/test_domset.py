@@ -107,6 +107,15 @@ class TestExactMinDominator:
         with pytest.raises(SizeCapError):
             exact_min_dominator(DominationInstance(g, frozenset(), 1))
 
+    def test_negative_cap_is_bad_input(self):
+        # every instance exceeds a negative cap; 0 <= cap < n is a cap hit
+        inst = DominationInstance(Graph(25), frozenset(range(25)), 1)
+        with pytest.raises(ValueError, match="exact solver cap must be non-negative, got -1"):
+            exact_min_dominator(inst, cap=-1)
+        for cap in (0, 24):
+            with pytest.raises(SizeCapError):
+                exact_min_dominator(inst, cap=cap)
+
     def test_matches_subset_enumeration(self):
         rng = random.Random(41)
         for _ in range(80):
@@ -159,6 +168,14 @@ class TestEnumerateMinDominators:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             enumerate_min_dominators(DominationInstance(Graph(25), frozenset(), 1))
+
+    def test_negative_cap_is_bad_input(self):
+        inst = DominationInstance(Graph(25), frozenset(range(25)), 1)
+        with pytest.raises(ValueError, match="enumeration cap must be non-negative, got -1"):
+            enumerate_min_dominators(inst, cap=-1)
+        for cap in (0, 24):
+            with pytest.raises(SizeCapError):
+                enumerate_min_dominators(inst, cap=cap)
 
     def test_matches_oracle_and_sizes_agree(self):
         rng = random.Random(43)

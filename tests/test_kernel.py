@@ -179,6 +179,28 @@ class TestFindCore:
         assert len(state.trace) == len({s.removed for s in state.trace})
         assert len(state.z) + len(state.trace) == g.n
 
+    def test_core_is_inst_z_until_the_first_removal(self):
+        # a run that rejects or removes nothing copies Z neither into a set
+        # nor back into a frozenset
+        rejected = full_instance(path_graph(20), 1, 2)
+        state = find_core(rejected, target=0)
+        assert state.witness is not None
+        assert state.z is rejected.z
+        g = grid_graph(10, 10)
+        kept = full_instance(g, 2, 100)
+        state = find_core(kept, target=0)
+        assert state.witness is None and state.trace == []
+        assert state.z is kept.z
+        assert kernelize(kept, target=0).dominatees is kept.z
+
+    def test_a_removing_run_leaves_inst_z_intact(self):
+        inst = full_instance(star_graph(30), 1, 1)
+        state = find_core(inst, target=0)
+        assert state.trace
+        assert isinstance(state.z, set)
+        assert inst.z == frozenset(range(31))
+        assert state.z == inst.z - {step.removed for step in state.trace}
+
 
 class TestAnnotatedDominatees:
     """The core starts from ``inst.z``, not from all of V."""

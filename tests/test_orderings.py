@@ -209,6 +209,14 @@ class TestWcolExact:
         with pytest.raises(SizeCapError):
             wcol_exact(Graph(10), 1)
 
+    def test_negative_cap_is_bad_input(self):
+        # every graph exceeds a negative cap; 0 <= cap < n is a cap hit
+        with pytest.raises(ValueError, match="wcol_exact cap must be non-negative, got -1"):
+            wcol_exact(Graph(10), 1, cap=-1)
+        for cap in (0, 9):
+            with pytest.raises(SizeCapError):
+                wcol_exact(Graph(10), 1, cap=cap)
+
     def test_witness_achieves_value(self):
         rng = random.Random(25)
         for _ in range(40):
