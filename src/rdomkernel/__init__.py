@@ -41,6 +41,7 @@ from .kernel import (
     RemovalStep,
     annotate_to_plain,
     build_kernel_from_core,
+    dominate_and_close,
     find_core,
     find_redundant_vertex,
     kernelize,

@@ -34,7 +34,8 @@ def parse_plan(text: str) -> list[dict]:
     """Parse the key=value block format; '#' starts a comment. A key that
     is neither a knob nor a parameter of the block's family (with or
     without ``gen.``), an unknown family, a parameter of the family that
-    the block does not give, or a knob out of range (r < 1, k < 0,
+    the block does not give, a parameter its family's builder refuses
+    (``cycle`` with n < 3), or a knob out of range (r < 1, k < 0,
     target < 0, verify not 0 or 1) raises :class:`ParseError` at the
     block's line, and a graph over the generators' size caps raises
     :class:`SizeCapError` naming the line, before any run starts."""

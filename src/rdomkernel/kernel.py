@@ -18,24 +18,30 @@ dominator alone, so each one that passes the exchange test loses every
 member of its exchange class beyond |buy| + 1. The analysis alone applies
 the exchange inequality: it returns one step per removal, certified by
 its own |buy| + 2 members, so the trace grows linearly in the removals.
-Phase one applies the steps in order before analysing again. Every
-analysis first computes the scattered lower bound, which is also the
-dominator's witness, but the bound can reject only while the core is
-larger than k: it is a subset of the core. An analysis reads (G, Z, r)
-alone (:func:`find_redundant_vertex` analyses ``inst.z``); phase one keeps
-the core, the steps and, on rejection, ``state.witness``.
+Phase one applies the steps in order before analysing again. X still
+dominates every smaller core, and the closure and its classes depend on X
+alone, so phase one computes X and its closure once
+(:func:`dominate_and_close`, whose dominator takes the scattered lower
+bound of the first analysis as its witness) and hands both to every
+analysis; a later analysis only re-classes the smaller core and re-runs
+the extraction. The bound can reject only while the core is larger than
+k (it is a subset of the core), so a later analysis computes it only
+then. Given X and its closure, an analysis reads (G, Z, r) alone
+(:func:`find_redundant_vertex` analyses ``inst.z``); phase one keeps the
+core, the steps and, on rejection, ``state.witness``.
 
-Every search runs from the smaller side of its question. An analysis
-costs one radius-r search per dominatee and one per pick (the counter
-greedy cover, in O(sum of |N_r[z]|) memory), one closure-avoiding
+Every search runs from the smaller side of its question. Phase one costs,
+once, one radius-r search per dominatee and one per pick (the counter
+greedy cover, in O(sum of |N_r[z]|) memory) and one closure-avoiding
 radius-3r search per member of the closure, shared by the closure's
 starting sizes and the projection classes (a closure that gains hubs also
-recounts near each hub and searches once more from the final closure),
-and, per class large enough to pass, the scattered-set extraction
-and one radius-r search per separator vertex (the distance-profile
-subclasses). The kernel build classes the vertices outside the core with
-one core-avoiding radius-r search per core vertex; when the core is all
-of V it runs neither these nor the closure's searches.
+recounts near each hub and searches once more from the final closure).
+Each analysis then costs, per class large enough to pass, the
+scattered-set extraction and one radius-r search per separator vertex
+(the distance-profile subclasses). The kernel build classes the vertices
+outside the core with one core-avoiding radius-r search per core vertex;
+when the core is all of V it runs neither these nor the closure's
+searches.
 """
 
 from __future__ import annotations
@@ -55,7 +61,13 @@ from .graphs import Graph, SubgraphMap, bounded_bfs, check_vertices, induced_sub
 # computes in bulk; they stay importable here, where the benchmark's
 # tracer looks up the pipeline's boundaries
 from .profiles import distance_profile, projection_profile, target_traces  # noqa: F401
-from .sparsity import default_closure_threshold, quasi_wide_extract, r_closure, short_paths_closure
+from .sparsity import (
+    ClosureResult,
+    default_closure_threshold,
+    quasi_wide_extract,
+    r_closure,
+    short_paths_closure,
+)
 
 
 # Largest instance the enumeration oracle re-checks in verified mode.
@@ -119,19 +131,34 @@ def separator_profiles(g: Graph, separator, members, r: int) -> dict[int, tuple]
     return {v: tuple(key) for v, key in keys.items()}
 
 
+def dominate_and_close(
+    inst: DominationInstance,
+    witness: frozenset[int] | None = None,
+) -> tuple[frozenset[int], ClosureResult]:
+    """An approximate dominator X of the core ``inst.z`` and its closure at
+    triple radius at :func:`default_closure_threshold`. ``witness``, when
+    given, is the scattered lower bound of the core, handed to the
+    dominator so that it is not computed again; the result is the same
+    without it."""
+    g, r = inst.g, inst.r
+    x = bg_approx_dominator(inst, witness=witness).dominator
+    return x, r_closure(g, x, 3 * r, default_closure_threshold(g))
+
+
 def find_redundant_vertex(
     inst: DominationInstance,
     *,
-    witness: frozenset[int] | None = None,
+    closed: tuple[frozenset[int], ClosureResult] | None = None,
 ) -> tuple[RemovalStep, ...] | None:
     """One exchange analysis of the core ``inst.z``: one step, with its
     justification record, per removal it certifies, in the order they are
     applied, or ``None`` when it certifies none. The caller applies the
     removals.
 
-    Pipeline: approximate a dominator X of the current core, close it at
-    triple radius at :func:`default_closure_threshold`, and class the core
-    outside the closure by projection profile, from the traces of the
+    Pipeline: take a dominator X of the core and its closure at triple
+    radius (``closed``, as :func:`dominate_and_close` returns them;
+    computed for ``inst`` when not given), and class the core outside the
+    closure by projection profile, from the traces of the
     closure's own search (``ClosureResult.traces``). Each class with at
     least |key| + 2 members, largest first (ties to the class holding the
     smallest vertex), goes through the scattered-behind-a-separator
@@ -146,13 +173,11 @@ def find_redundant_vertex(
     profile on the separator and scatteredness, so each window certifies
     its removal alone. The classes depend on X alone, so removals from one
     class leave every other class, and X's domination of the core,
-    intact. ``witness``, when given, is the scattered lower bound of
-    the core, handed to the dominator so that it is not computed again;
-    the result is the same without it.
+    intact. A given X must dominate ``inst.z``, as the X of any larger core
+    does (:func:`find_core` hands every analysis the first one's X).
     """
     g, r = inst.g, inst.r
-    x = bg_approx_dominator(inst, witness=witness).dominator
-    closure = r_closure(g, x, 3 * r, default_closure_threshold(g))
+    x, closure = closed or dominate_and_close(inst)
     x_cl = closure.closure
     outside = [u for u in sorted(inst.z) if u not in x_cl]
     # for u outside x_cl its trace is projection_profile(g, u, x_cl, 3r).entries
@@ -221,17 +246,21 @@ def find_core(
     search, when ``inst.z`` is; the default target is at least k, so every
     default-target call with k >= |Z| ends there), the scattered witness
     proves the budget k too small (state.witness is set), the core has
-    reached the target, or an analysis certifies nothing. Each analysis
-    first computes the scattered lower bound of the core; the bound is a
-    subset of the core, so it rejects only while the core is larger than
-    k, and a witness of a smaller core also certifies the whole instance.
-    Then one exchange analysis runs (:func:`find_redundant_vertex`, on the
-    instance whose z is the core that the bound read), and its steps, one
-    per removal, are applied in order while the core is above the target:
-    each removes ``step.removed`` and is appended to the trace as it is.
-    This is sound because X still dominates the smaller core, the closure
-    and the classes do not depend on the core, and each step's exchange
-    class is still in the core when its vertex goes. The core is
+    reached the target, or an analysis certifies nothing. The first
+    analysis is preceded by the scattered lower bound of the core, which
+    is also the witness of the dominator X that :func:`dominate_and_close`
+    computes and closes, once per call; a later one is preceded by the
+    bound only while the core is larger than k, because the bound is a
+    subset of the core and rejects only then (a witness of a smaller core
+    also certifies the whole instance). Each exchange analysis
+    (:func:`find_redundant_vertex`, on the instance whose z is the current
+    core, with that one X and closure) gives steps, one per removal, that
+    are applied in order while the core is above the target: each removes
+    ``step.removed`` and is appended to the trace as it is. This is sound
+    because X still dominates every smaller core, the closure and the
+    classes do not depend on the core, and each step's exchange class is
+    still in the core when its vertex goes; every step of one call shares
+    one X and one closure. The core is
     ``inst.z`` itself, not a copy, until the first removal, and a set of
     its own from then on. With ``verify`` every removal is re-checked
     against the enumeration oracle (instances up to :data:`VERIFY_CAP`
@@ -247,15 +276,19 @@ def find_core(
     if verify:
         state.verify = "oracle" if g.n <= VERIFY_CAP else "skipped"
     z = inst.z
+    closed = None
     while len(z) > min(target, k):
         core = replace(inst, z=frozenset(z))
-        witness = greedy_scattered_lower_bound(core)
-        if len(witness) > k:
-            state.witness = witness
-            break
+        if closed is None or len(z) > k:
+            witness = greedy_scattered_lower_bound(core)
+            if len(witness) > k:
+                state.witness = witness
+                break
         if len(z) <= target:
             break
-        steps = find_redundant_vertex(core, witness=witness)
+        if closed is None:
+            closed = dominate_and_close(core, witness)
+        steps = find_redundant_vertex(core, closed=closed)
         if steps is None:
             break
         if z is inst.z:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graphs import Graph, _walk_back, bounded_bfs, check_radius, check_vertices, greedy_scattered
@@ -114,7 +115,12 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     outdated ones skipped, yields the next pick: a stale entry popped is
     recounted with one search and pushed back, and only an exact entry
     becomes a hub, so the picks are those of recounting every reached
-    vertex after each hub (Minoux's lazy greedy). The starting traces are
+    vertex after each hub (Minoux's lazy greedy). A +1 pushes nothing: the
+    raised vertex waits in a bucket of its stored size, and a bucket is
+    pushed only once its size reaches t and the heap's best size, before
+    any entry it could precede is popped. So a vertex raised by several
+    hubs in a row is pushed once, and the recounts and picks are those of
+    pushing on every +1. The starting traces are
     the final closure's when no hub joins; otherwise the final closure's
     traces take one more search.
     """
@@ -133,10 +139,23 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
     heapq.heapify(heap)
     added = []
     stale = [False] * g.n
-    while heap:
-        neg_size, u = heapq.heappop(heap)
-        if u in y or sizes[u] != -neg_size:
+    # raised[s]: the stale vertices whose stored size s is above the key of
+    # their heap entry; top bounds the largest such s from above
+    raised: defaultdict[int, set[int]] = defaultdict(set)
+    top = 0
+    while True:
+        # an entry is outdated once its vertex joins Y or changes size
+        while heap and (heap[0][1] in y or sizes[heap[0][1]] != -heap[0][0]):
+            heapq.heappop(heap)
+        while top >= t and not raised.get(top):
+            top -= 1
+        if top >= t and (not heap or top >= -heap[0][0]):
+            for w in raised.pop(top):
+                heapq.heappush(heap, (-top, w))
             continue
+        if not heap:
+            break
+        _, u = heapq.heappop(heap)
         if stale[u]:
             # u's projection onto Y, as projection(g, u, Y, r) counts it
             stale[u] = False
@@ -148,10 +167,12 @@ def r_closure(g: Graph, x, r: int, t: int) -> ClosureResult:
         added.append(u)
         for w in bounded_bfs(g, u, r, y):
             if w not in y:
+                if stale[w]:
+                    raised[sizes[w]].discard(w)
                 stale[w] = True
                 sizes[w] += 1
-                if sizes[w] >= t:
-                    heapq.heappush(heap, (-sizes[w], w))
+                raised[sizes[w]].add(w)
+                top = max(top, sizes[w])
     closure = frozenset(y)
     return ClosureResult(closure, tuple(added), target_traces(g, closure, r, distances=True, avoiding=True))
 

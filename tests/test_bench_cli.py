@@ -341,6 +341,33 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("cap exceeded: line 6: grid with 10000000000 vertices")
 
+    def test_builder_rule_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # each family's argument rule is checked at its block's line
+        ran = []
+        monkeypatch.setattr("rdomkernel.bench.run_one", ran.append)
+        plan = tmp_path / "plan.txt"
+        first = "family=path\nn=30\nr=1\nk=2\n\n"
+        for block, message in [
+            ("family=cycle\nn=2", "cycle needs at least 3 vertices"),
+            ("family=grid\nw=0\nh=4", "grid sides must be positive"),
+            ("family=spider\nlegs=3\nlen=0", "spider needs non-negative legs of positive length"),
+            ("family=star\nleaves=-1", "leaf count must be non-negative"),
+            ("family=path\nn=-1", "vertex count must be non-negative"),
+            ("family=subdivision\nn=4\ngen.r=-1", "subdivision needs a non-negative size and depth"),
+        ]:
+            plan.write_text(f"{first}{block}\nr=1\nk=2\n")
+            with pytest.raises(ParseError, match=f"line 6: {message}"):
+                parse_plan(plan.read_text())
+            assert main(["bench", "--plan", str(plan)]) == 2
+            assert ran == []
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"input error: line 6: {message}\n"
+        plan.write_text(f"{first}family=subset_gadget\na=100\nr=1\nk=2\n")
+        assert main(["bench", "--plan", str(plan)]) == 3
+        assert ran == []
+        assert capsys.readouterr().err.startswith("cap exceeded: line 6: subset gadget with 100 anchors")
+
     def test_knob_out_of_range_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
         ran = []
         monkeypatch.setattr("rdomkernel.bench.run_one", ran.append)

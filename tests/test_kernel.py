@@ -352,7 +352,9 @@ class TestBatchedRemovals:
             (spider_graph(30, 2), 2, 56, 3),
             # one projection class per star, all certified by the same analysis
             (linked_stars(6, 6), 1, 24, 2),
-            (linked_stars(7, 6), 2, 28, 3),
+            # a fresh dominator of the shrunk core, closed to 8 vertices
+            # instead of 14, would certify a 28th removal
+            (linked_stars(7, 6), 2, 27, 3),
         ]
         for g, r, removed, analyses in cases:
             calls.clear()
@@ -391,6 +393,84 @@ class TestBatchedRemovals:
             if same_core:
                 assert state.z == one_removal_per_analysis_core(full_instance(g, r, k=g.n))
         assert removals >= 500, removals
+
+
+class TestOneDominatorPerPhaseOne:
+    """X still dominates every smaller core, and the closure and its
+    classes depend on X alone, so phase one dominates and closes once."""
+
+    cases = [
+        (star_graph(50), 1),
+        (spider_graph(30, 2), 2),
+        (linked_stars(6, 6), 1),
+        (linked_stars(7, 6), 2),
+        (fan_and_star(9, 8), 1),
+    ]
+
+    def test_one_dominator_and_one_closure(self, monkeypatch):
+        calls = {"bg_approx_dominator": [], "r_closure": [], "find_redundant_vertex": []}
+        for name, log in calls.items():
+
+            def counting(*args, fn=getattr(kernel, name), log=log, **kwargs):
+                res = fn(*args, **kwargs)
+                log.append(res)
+                return res
+
+            monkeypatch.setattr(kernel, name, counting)
+        for g, r in self.cases:
+            for log in calls.values():
+                log.clear()
+            state = find_core(full_instance(g, r, k=g.n), target=0)
+            # every case analyses again after its first batch
+            assert len(calls["find_redundant_vertex"]) >= 2
+            assert len(calls["bg_approx_dominator"]) == len(calls["r_closure"]) == 1
+            (x,) = (res.dominator for res in calls["bg_approx_dominator"])
+            (closure,) = (res.closure for res in calls["r_closure"])
+            assert state.trace
+            assert all(step.dominator is x and step.closure is closure for step in state.trace)
+
+    def test_later_bounds_only_while_the_core_exceeds_k(self, monkeypatch):
+        bounds, analyses = [], []
+
+        def bound(inst):
+            bounds.append(len(inst.z))
+            return greedy_scattered_lower_bound(inst)
+
+        def analysis(inst, **kwargs):
+            analyses.append(len(inst.z))
+            return find_redundant_vertex(inst, **kwargs)
+
+        monkeypatch.setattr(kernel, "greedy_scattered_lower_bound", bound)
+        monkeypatch.setattr(kernel, "find_redundant_vertex", analysis)
+        skipped = ran = 0
+        for g, r in self.cases:
+            for k in (1, 5, 20, g.n):
+                bounds.clear()
+                analyses.clear()
+                state = find_core(full_instance(g, r, k), target=0)
+                if state.witness is not None:
+                    continue
+                # the first bound is also the dominator's witness
+                assert bounds == analyses[:1] + [size for size in analyses[1:] if size > k]
+                ran += len(bounds) - 1
+                skipped += len(analyses) - len(bounds)
+        assert ran >= 3 and skipped >= 3, (ran, skipped)
+
+    def test_a_standalone_analysis_dominates_and_closes_its_core(self):
+        # on the full core and on phase one's final core, where a fresh X
+        # of linked_stars(7, 6) at r = 2 certifies one more removal
+        fresh = 0
+        for g, r in self.cases:
+            final = find_core(full_instance(g, r, k=g.n), target=0).z
+            for z in (range(g.n), final):
+                core = DominationInstance(g, frozenset(z), r, g.n)
+                x, closure = kernel.dominate_and_close(core)
+                steps = find_redundant_vertex(core)
+                assert find_redundant_vertex(core, closed=(x, closure)) == steps
+                if steps is not None:
+                    assert all(step.dominator == x and step.closure == closure.closure for step in steps)
+                    fresh += z is final
+        assert fresh == 1, fresh
 
 
 class TestEveryClassCertified:
@@ -459,6 +539,7 @@ class TestAmortisedAnalysis:
         cases = [(star_graph(m), r) for m in range(2, 40, 6) for r in (1, 2, 3)]
         cases += [(spider_graph(legs, 2), r) for legs in range(2, 14, 3) for r in (1, 2, 3)]
         cases += [(linked_stars(6, 6), 1), (linked_stars(7, 6), 2)]
+        cases += [(linked_stars(centers, 4), r) for centers in (4, 5) for r in (1, 2)]
         cases += [(random_sparse_graph(rng, rng.randint(4, 24)), rng.randint(1, 3)) for _ in range(60)]
         return cases
 
