@@ -5,14 +5,16 @@ path of length at most r from v to u has u as its L-least vertex. The
 weak r-coloring number of a fixed order is the largest such set over all
 vertices; the graph invariant minimizes that over all n! orders, which
 is only feasible on tiny graphs. At scale the smallest-last degeneracy
-order serves as the upper-bound witness.
+order serves as the upper-bound witness, built from one bucket of ids per
+degree.
 
 The sets are found from the low end (Nadara et al., SEA 2018): sweep the
 vertices u in rank order, and one search from u, bounded by r and stopped
 at the vertices already swept, reaches exactly the unswept x with u in
 WReach_r[x]. Each vertex thus costs one bounded search over the vertices
-not yet swept. ``wcol_of_order`` keeps one counter per vertex, O(n)
-memory; only ``wreach_all`` holds the sets, O(sum of |WReach_r|).
+not yet swept. ``wcol_of_order`` keeps one counter per vertex, bumped as
+the search marks it, O(n) memory; only ``wreach_all`` holds the sets,
+O(sum of |WReach_r|).
 
 The sweep's searches share one list of n visit marks, stamped with the
 rank of their source, and a swept vertex is marked n, above every rank, so
@@ -30,6 +32,15 @@ from dataclasses import dataclass
 from .graphs import Graph, SizeCapError, bounded_bfs, check_radius, check_vertices
 
 
+def _check_permutation(values, what: str):
+    """Raise ValueError unless ``values`` holds each int 0..len-1 once:
+    the one rule for an order's ranks and for its sequence. A float or a
+    bool equal to such an int is refused too: ranks and vertices index
+    lists, which takes an int."""
+    if not set(map(type, values)) <= {int} or sorted(values) != list(range(len(values))):
+        raise ValueError(f"{what} must be a permutation of 0..n-1")
+
+
 @dataclass(frozen=True)
 class Ordering:
     """A linear order given by ranks: position[v] is the rank of vertex v."""
@@ -37,14 +48,13 @@ class Ordering:
     position: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.position)
-        if sorted(self.position) != list(range(n)):
-            raise ValueError("position must be a permutation of 0..n-1")
+        _check_permutation(self.position, "position")
 
     @classmethod
     def from_sequence(cls, seq) -> "Ordering":
         """Build from the order sequence (vertex at rank 0, rank 1, ...)."""
-        seq = list(seq)
+        seq = tuple(seq)
+        _check_permutation(seq, "sequence")
         pos = [0] * len(seq)
         for rank, v in enumerate(seq):
             pos[v] = rank
@@ -148,12 +158,34 @@ def wcol_of_order(g: Graph, order: Ordering, r: int) -> int:
     """Largest weak-r-reachability set size under a fixed order.
 
     The sweep of :func:`wreach_all` with a counter per vertex in place of
-    its set: O(n) memory however large the sets grow.
+    its set, bumped as the search marks the vertex: O(n) memory however
+    large the sets grow, and no list of what each search reached. The loop
+    is a copy of the sweep's rather than a call to it, because reading the
+    sweep through its generator, or through a callback per mark, takes
+    about a fifth longer.
     """
-    count = [0] * g.n
-    for _, reached in _sweep(g, order, r):
-        for x in reached:
-            count[x] += 1
+    check_radius(r)
+    _check_order(g, order)
+    n = g.n
+    adj = g.adj
+    mark = [-1] * n
+    count = [0] * n
+    for rank, u in enumerate(order.sequence()):
+        mark[u] = rank
+        count[u] += 1
+        level = [u]
+        for _ in range(r):
+            nxt = []
+            for v in level:
+                for w in adj[v]:
+                    if mark[w] < rank:
+                        mark[w] = rank
+                        count[w] += 1
+                        nxt.append(w)
+            if not nxt:
+                break
+            level = nxt
+        mark[u] = n
     return max(count, default=0)
 
 
@@ -161,34 +193,59 @@ def degeneracy_order(g: Graph) -> Ordering:
     """Smallest-last order: repeatedly delete a minimum-degree vertex
     (lowest id on ties); vertices removed last come first in the order.
 
-    A heap keyed by ``(degree, id)``, with lazy deletion (Matula & Beck,
-    1983): each degree drop pushes a fresh entry and leaves the old one in
-    place. Degrees only fall, so a vertex's current entry sorts before its
-    stale ones and pops first; the stale ones pop after the vertex is gone
-    and are skipped. Every pop of a live vertex is thus the least
-    ``(degree, id)`` among the remaining vertices, the same pick as a scan
-    over all of them. O((n + m) log n). An entry is the int
-    ``degree * n + id``, which orders as the pair does because 0 <= id < n,
-    so the heap compares ints rather than tuples.
+    One min-heap of ids per degree, with lazy deletion (Matula & Beck,
+    1983): a degree drop pushes the vertex into the bucket one lower and
+    leaves its old entry there, stale, as its degree no longer matches.
+    Deleting a vertex of degree d leaves none below d - 1, so the scan for
+    the next pick restarts there and climbs to the first live entry: the
+    least ``(degree, id)`` left, the same pick as a scan over all vertices.
+    O((n + m) log n). A bucket is made on first use and dropped when its
+    only entry goes stale, so a hub whose degree falls one by one holds
+    one bucket at a time; a deleted vertex takes the highest rank still
+    free.
     """
     n = g.n
     adj = g.adj
     deg = list(map(len, adj))
-    heap = [d * n + v for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    removed = [False] * n
-    removal = []
-    while heap:
-        v = heapq.heappop(heap) % n
-        if removed[v]:
+    buckets: list[list[int] | None] = [None] * (max(deg, default=0) + 1)
+    for v, d in enumerate(deg):
+        # ids arrive in ascending order, so each list is already a heap
+        bucket = buckets[d]
+        if bucket is None:
+            buckets[d] = [v]
+        else:
+            bucket.append(v)
+    position = [0] * n
+    rank = n - 1
+    d = 0
+    while rank >= 0:
+        bucket = buckets[d]
+        if not bucket:
+            d += 1
             continue
-        removed[v] = True
-        removal.append(v)
+        v = heapq.heappop(bucket)
+        if deg[v] != d:
+            continue
+        # a deleted vertex reads degree -1, which matches no bucket
+        deg[v] = -1
+        position[v] = rank
+        rank -= 1
         for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, deg[w] * n + w)
-    return Ordering.from_sequence(reversed(removal))
+            dw = deg[w]
+            if dw > 0:
+                if len(buckets[dw]) == 1:
+                    # w's entry, about to go stale, is the bucket's only one
+                    buckets[dw] = None
+                dw -= 1
+                deg[w] = dw
+                bucket = buckets[dw]
+                if bucket is None:
+                    buckets[dw] = [w]
+                else:
+                    heapq.heappush(bucket, w)
+        if d:
+            d -= 1
+    return Ordering(tuple(position))
 
 
 def wcol_exact(g: Graph, r: int, cap: int = 9) -> tuple[int, Ordering]:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from rdomkernel.generators import grid_graph, random_tree_graph
+from rdomkernel.generators import grid_graph, random_tree_graph, star_graph
 from rdomkernel.graphs import Graph, SizeCapError
 from rdomkernel.orderings import (
     Ordering,
@@ -33,6 +33,14 @@ def complete(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def disjoint_union(graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph(offset, edges)
+
+
 class TestOrdering:
     def test_sequence_round_trip(self):
         order = Ordering.from_sequence([2, 0, 1])
@@ -42,6 +50,24 @@ class TestOrdering:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             Ordering((0, 0, 1))
+
+    def test_from_sequence_rejects_non_permutation(self):
+        # a repeated vertex, and a negative one, once became a valid order
+        for seq in ([0, 0, 1], [-1, 0], [0, 2], [1]):
+            with pytest.raises(ValueError, match="sequence must be a permutation of 0..n-1"):
+                Ordering.from_sequence(seq)
+
+    def test_rejects_ranks_that_are_not_ints(self):
+        # 0.0 == 0, but a float rank cannot index the lists the sweeps keep
+        for bad in ((0.0, 1.0), (0, 1.0), (False, True)):
+            with pytest.raises(ValueError, match="position must be a permutation of 0..n-1"):
+                Ordering(bad)
+            with pytest.raises(ValueError, match="sequence must be a permutation of 0..n-1"):
+                Ordering.from_sequence(bad)
+
+    def test_empty_order(self):
+        assert Ordering.from_sequence([]) == Ordering(())
+        assert Ordering(()).sequence() == ()
 
 
 class TestNegativeRadius:
@@ -176,6 +202,20 @@ class TestWcolOfOrder:
         assert peaks[4] <= 3_000_000
         assert abs(peaks[4] - peaks[2]) <= 0.1 * peaks[2]
 
+    def test_counts_what_the_sets_hold(self):
+        # the counting sweep against the sets of the listing sweep
+        rng = random.Random(31)
+        graphs = [Graph(0), Graph(1), Graph(6)]
+        graphs += [random_graph(rng, rng.randint(1, 30), rng.random() * 0.3) for _ in range(40)]
+        graphs += [relabelled(rng, random_sparse_graph(rng, rng.randint(1, 60))) for _ in range(40)]
+        for g in graphs:
+            seq = list(range(g.n))
+            rng.shuffle(seq)
+            for order in (Ordering.from_sequence(seq), degeneracy_order(g)):
+                for r in range(5):
+                    expected = max(map(len, wreach_all(g, order, r)), default=0)
+                    assert wcol_of_order(g, order, r) == expected
+
     def test_monotone_in_radius(self):
         rng = random.Random(24)
         for _ in range(100):
@@ -267,3 +307,27 @@ class TestDegeneracyOrder:
         rng = random.Random(29)
         for g in tie_heavy_graphs(rng, 300, max_n=40, max_side=8):
             assert degeneracy_order(g).sequence() == brute_degeneracy_order(g)
+
+    def test_sequence_matches_linear_scan_across_buckets(self):
+        # empty and edgeless graphs, a hub whose degree falls through a few
+        # hundred buckets, a complete graph, whose one bucket empties at
+        # every degree in turn, and disjoint unions of these
+        rng = random.Random(32)
+        parts = [Graph(0), Graph(1), Graph(5), star_graph(300), complete(12), grid_graph(6, 5), path(9)]
+        graphs = list(parts)
+        for _ in range(20):
+            graphs.append(relabelled(rng, disjoint_union(rng.sample(parts, rng.randint(2, len(parts))))))
+        for g in graphs:
+            assert degeneracy_order(g).sequence() == brute_degeneracy_order(g)
+
+    def test_star_memory_is_linear(self):
+        # the order's own ranks take about 6 words a vertex and its check
+        # about 6 more; a list per degree, up to the hub's, would add ~11
+        g = star_graph(20_000)
+        tracemalloc.start()
+        try:
+            degeneracy_order(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 8 * g.n
